@@ -72,7 +72,7 @@ func main() {
 		shardPrim   = flag.Int("shard-primaries", 2, "serving primaries per shard in -shards mode (the sequencer is extra)")
 		shardSec    = flag.Int("shard-secondaries", 1, "secondaries per shard in -shards mode")
 		walDir      = flag.String("wal-dir", "", "directory for per-replica WAL + snapshot files; a restarted process recovers from it instead of re-fetching history (empty = durability off)")
-		snapEvery   = flag.Int("snapshot-every", 0, "WAL compaction threshold in log records (0 = default)")
+		snapEvery   = flag.Int("snapshot-every", 0, "compact the WAL every N log records (0 = default rule: at least 256 records and as many log bytes as the snapshot cell being replaced)")
 		replAssign  = flag.Bool("replicated-assign", false, "enable majority-floor replicated GSN ordering in the primary group")
 	)
 	flag.Parse()

@@ -157,8 +157,10 @@ type ReplicaOptions struct {
 	// over it; a restart of the process then recovers from media instead
 	// of re-fetching history.
 	Media wal.Media
-	// SnapshotEvery is the WAL compaction threshold in log records
-	// (0 = replica default).
+	// SnapshotEvery, when positive, is the WAL compaction threshold in log
+	// records. 0 selects the default rule: at least 256 records and at
+	// least as many log bytes as the snapshot cell being replaced. See
+	// replica.Config.
 	SnapshotEvery int
 	// ReplicatedAssign enables majority-floor replicated GSN ordering.
 	ReplicatedAssign bool

@@ -71,8 +71,10 @@ type ServiceConfig struct {
 	// Deployment.NewRecoveredReplicaGateway) replays its durable state at
 	// Init instead of re-fetching history through the sync protocol.
 	Durable bool
-	// SnapshotEvery is the WAL compaction threshold in log records
-	// (0 = replica default).
+	// SnapshotEvery, when positive, is the WAL compaction threshold in log
+	// records. 0 selects the default rule: at least 256 records and at
+	// least as many log bytes as the snapshot cell being replaced. See
+	// replica.Config.
 	SnapshotEvery int
 	// ReplicatedAssign enables majority-floor replicated GSN ordering in
 	// the primary group: commits release only once a majority holds their

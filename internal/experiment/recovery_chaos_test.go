@@ -15,6 +15,7 @@ import (
 	"aqua/internal/node"
 	"aqua/internal/replica"
 	"aqua/internal/sim"
+	"aqua/internal/wal"
 	"aqua/internal/workload"
 
 	"aqua/internal/app"
@@ -44,7 +45,7 @@ func recoveryVerdict(t *testing.T, rep check.Report) check.Verdict {
 }
 
 // TestRecoveryAdversarialSchedules is the durable-recovery acceptance
-// suite: five hand-placed crash schedules, each stressing a different
+// suite: seven hand-placed crash schedules, each stressing a different
 // corner of the WAL + replicated-ordering design, all run with durability
 // and majority-floor GSN ordering armed. Every run must satisfy all six
 // invariants, actually recover at least one replica from its own media,
@@ -62,14 +63,39 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 		ReplicatedAssign: true,
 	}
 
-	// The reference: identical config, empty schedule (non-nil, so no
-	// faults are generated either).
-	ref := base
-	ref.Schedule = chaos.Schedule{}
-	refRes := RunChaosPoint(ref)
-	requireCleanReport(t, "reference", refRes.Report)
-	if !refRes.Done {
-		t.Fatalf("reference run did not finish: %d requests", refRes.Requests)
+	// The references: identical config, empty schedule (non-nil, so no
+	// faults are generated either). Same clients, same per-client keys, last
+	// write wins: the converged application state depends only on the client
+	// count, so one reference per count serves every schedule (the batching
+	// and think-time variants change traffic, not final state).
+	refs := make(map[int]ChaosResult)
+	reference := func(t *testing.T, clients int) ChaosResult {
+		t.Helper()
+		if r, ok := refs[clients]; ok {
+			return r
+		}
+		ref := base
+		ref.Clients = clients
+		ref.Schedule = chaos.Schedule{}
+		r := RunChaosPoint(ref)
+		requireCleanReport(t, "reference", r.Report)
+		if !r.Done {
+			t.Fatalf("reference run did not finish: %d requests", r.Requests)
+		}
+		refs[clients] = r
+		return r
+	}
+
+	// The seventh schedule's injected tear, and what it left behind at the
+	// victim's first restart (filled by the schedule's hooks).
+	const tearAt = 160
+	var tear struct {
+		victim   *replica.Gateway
+		media    *wal.MemMedia
+		restarts int
+		wedged   bool // the victim fail-stopped inside the torn append
+		torn     bool // the media ends mid-frame
+		prefix   int  // whole records of the torn run that reached the media
 	}
 
 	cases := []struct {
@@ -79,6 +105,8 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 		sched  chaos.Schedule
 		// recovers lists replicas that must have replayed durable state.
 		recovers []node.ID
+		// verify, if set, runs after the common checks.
+		verify func(t *testing.T)
 	}{
 		{
 			// The sequencer batches assignments; the crash lands while a
@@ -168,6 +196,63 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 			},
 			recovers: []node.ID{"p02", "p00"},
 		},
+		{
+			// p02's disk tears a released run mid-frame: the append that
+			// crosses byte 150 of its log lands as a whole-record prefix plus
+			// a torn frame and fails, so p02 fail-stops inside it — the
+			// simulator's form of dying mid-write — exposing none of the run.
+			// The recovered incarnation must stand at exactly the prefix,
+			// fold the unreadable tail away, and commit more; its own crash
+			// must then lose none of that (an incarnation that appended
+			// behind the torn bytes would recover below its own frontier, and
+			// the recovery-frontier oracle would say so).
+			name: "tear-inside-released-run",
+			mutate: func(c *ChaosConfig) {
+				// Dense traffic into a batching sequencer, so floors release
+				// several commits at a time.
+				c.Clients = 4
+				c.RequestDelay = 10 * time.Millisecond
+				c.AssignBatch = 32
+				c.AssignBatchWindow = 15 * time.Millisecond
+				// No compaction: a log reset would heal the media behind the
+				// test's back. The log is the only durable copy of whatever
+				// the recovered incarnation commits.
+				c.SnapshotEvery = 100000
+				c.Mutate = func(d *core.Deployment) {
+					tear.victim, tear.media = d.Replicas["p02"], d.Media.Get("p02")
+					tear.media.FailAfter(tearAt)
+				}
+				c.MutateFresh = func(id node.ID, _ *replica.Gateway) {
+					if id != "p02" {
+						return
+					}
+					if tear.restarts++; tear.restarts > 1 {
+						return
+					}
+					// First restart: what did the tear leave behind?
+					tear.media.FailAfter(-1) // the replacement gets a working disk
+					tear.wedged = tear.victim.Wedged()
+					rec, err := wal.NewStore(tear.media).Recover()
+					tear.torn = err == nil && rec.Torn
+					exposed := tear.victim.DurableStore()
+					tear.prefix = int(rec.CSN - exposed.Frontier())
+				}
+			},
+			verify: func(t *testing.T) {
+				if !tear.wedged || !tear.torn || tear.prefix == 0 {
+					t.Errorf("tear at log byte %d: victim wedged=%t, media torn=%t, whole records of the torn run on media=%d; "+
+						"want a fail-stop on a mid-frame tear behind a whole-record prefix (re-pick tearAt if the traffic changed)",
+						tearAt, tear.wedged, tear.torn, tear.prefix)
+				}
+			},
+			sched: chaos.Schedule{
+				{At: 700 * time.Millisecond, Action: chaos.ActCrash, Target: "p02"},
+				{At: 900 * time.Millisecond, Action: chaos.ActRestartRecover, Target: "p02"},
+				{At: 1500 * time.Millisecond, Action: chaos.ActCrash, Target: "p02"},
+				{At: 1800 * time.Millisecond, Action: chaos.ActRestartRecover, Target: "p02"},
+			},
+			recovers: []node.ID{"p02"},
+		},
 	}
 
 	for _, tc := range cases {
@@ -190,17 +275,16 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 					t.Errorf("%s never recovered from its durable media", id)
 				}
 			}
-			// Same clients, same per-client keys, last write wins: the
-			// converged application state is schedule-independent. Any
+			// The converged application state is schedule-independent: any
 			// divergence from the never-faulted reference means recovery
-			// lost, duplicated, or reordered a committed update. (The
-			// batching/clients variants change traffic, not final state.)
-			if cfg.Clients == 0 || cfg.Clients == base.Clients {
-				for id, want := range refRes.AppStates {
-					if got, ok := res.AppStates[id]; !ok || !bytes.Equal(got, want) {
-						t.Errorf("%s final state diverged from the never-faulted reference", id)
-					}
+			// lost, duplicated, or reordered a committed update.
+			for id, want := range reference(t, cfg.Clients).AppStates {
+				if got, ok := res.AppStates[id]; !ok || !bytes.Equal(got, want) {
+					t.Errorf("%s final state diverged from the never-faulted reference", id)
 				}
+			}
+			if tc.verify != nil {
+				tc.verify(t)
 			}
 		})
 	}

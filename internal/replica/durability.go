@@ -8,13 +8,14 @@ import (
 )
 
 // Durable state (DESIGN.md §14). The gateway's invariant is that the WAL
-// frontier always equals my_CSN: every commit release goes through the log
-// before its job enters the work queue (walAppend in enqueueCommits and the
-// state-update drain), and snapshot installs refresh the cell at the same
-// CSN they advance the buffer to. A crash therefore always lands with the
-// durable frontier at or ahead of the applied frontier — the simulator only
-// crashes nodes between callbacks, and within a callback the append
-// precedes both the apply and the ack.
+// frontier always equals my_CSN: every run of released commits goes through
+// the log, as one append, before any of its jobs enters the work queue
+// (releaseRun, from enqueueCommits and the state-update drain), and snapshot
+// installs refresh the cell at the same CSN they advance the buffer to. A
+// crash therefore always lands with the durable frontier at or ahead of the
+// applied frontier — the simulator only crashes nodes between callbacks,
+// and within a callback the append precedes both the applies and the acks
+// of everything it covers.
 
 // recoverDurable rebuilds pre-crash state at Init: restore the snapshot
 // cell, replay the log suffix against the application, and reseed the
@@ -28,7 +29,9 @@ func (g *Gateway) recoverDurable() {
 		g.ctx.Logf("replica: wal recover: %v", err)
 	}
 	if rec.CSN == 0 && len(rec.Assigns) == 0 {
-		return // empty store: first boot, or nothing durable survived
+		// Empty store: first boot, or nothing durable survived.
+		g.walFoldTail(&rec)
+		return
 	}
 	if rec.Snapshot.CSN > 0 || len(rec.Snapshot.App) > 0 {
 		if err := g.cfg.App.Restore(rec.Snapshot.App); err != nil {
@@ -62,6 +65,7 @@ func (g *Gateway) recoverDurable() {
 	}
 	g.applied = rec.CSN
 	g.recovered = rec.CSN
+	g.walFoldTail(&rec)
 	g.ins.recoveries.Inc()
 	g.ins.recoveryReplayed.Observe(float64(len(rec.Records)))
 	// Replay is not re-execution for the trace: the prior incarnation's
@@ -70,8 +74,8 @@ func (g *Gateway) recoverDurable() {
 	if rec.CSN > 0 && g.cfg.OnRecover != nil {
 		g.cfg.OnRecover(rec.CSN)
 	}
-	g.ctx.Logf("replica: recovered to CSN %d (snapshot %d + %d records + %d assigns, torn=%t)",
-		rec.CSN, rec.Snapshot.CSN, len(rec.Records), len(rec.Assigns), rec.Torn)
+	g.ctx.Logf("replica: recovered to CSN %d (snapshot %d + %d records + %d assigns, torn=%t, %d tail bytes folded)",
+		rec.CSN, rec.Snapshot.CSN, len(rec.Records), len(rec.Assigns), rec.Torn, rec.TailBytes)
 }
 
 // Recovered returns the durable commit frontier Init reconstructed (0 when
@@ -101,32 +105,70 @@ func (g *Gateway) walFail(op string, err error) {
 // replica (tests and diagnostics).
 func (g *Gateway) Wedged() bool { return g.wedged }
 
-// walAppend durably logs one released commit before its job enters the
-// work queue: the ack and the visible state change both happen after the
-// record is on media. It reports whether the caller may proceed — an
-// append failure wedges the replica (fail-stop) and the commit must not
-// be applied or acked. No-op without a durable store.
-func (g *Gateway) walAppend(gsn uint64, req *consistency.Request, dup bool) bool {
-	if g.cfg.Durable == nil {
-		return true
+// walFoldTail closes a recovered log whose tail replay could not cross (a
+// torn final run, corruption, subsumed records left by a crash between a
+// cell write and its log reset). The media cannot cut those bytes, and
+// anything appended behind them would be unreachable at the next recovery,
+// so the recovered state is folded into a fresh snapshot cell — cell
+// durable, then log reset — before this incarnation logs or acks anything.
+// Failure wedges the replica.
+func (g *Gateway) walFoldTail(rec *wal.Recovered) {
+	if rec.TailBytes == 0 {
+		return
 	}
-	if g.wedged {
-		return false
+	snap, err := g.cfg.App.Snapshot()
+	if err != nil {
+		g.walFail(fmt.Sprintf("recovery fold at %d", rec.CSN), err)
+		return
 	}
-	rec := wal.Record{GSN: gsn, ID: req.ID, Method: req.Method, Payload: req.Payload, Dup: dup}
-	if err := g.cfg.Durable.Append(&rec); err != nil {
-		g.walFail(fmt.Sprintf("append gsn %d", gsn), err)
-		return false
+	g.walSaveSnapshot(rec.CSN, snap, g.recentCommittedIDs(1024))
+}
+
+// releaseRun makes one run of released commits durable — a single WAL
+// append, one barrier however long the run — and only then enqueues its
+// jobs: every apply and every ack happens after the append that covers it
+// returned. It reports whether the run was released; an append failure
+// wedges the replica (fail-stop) and none of the run becomes visible. The
+// run's jobs carry consecutive GSNs from my_CSN's previous value.
+func (g *Gateway) releaseRun(run []job) bool {
+	if st := g.cfg.Durable; st != nil && len(run) > 0 {
+		if g.wedged {
+			return false
+		}
+		recs := g.walRun[:0]
+		for i := range run {
+			j := &run[i]
+			recs = append(recs, wal.Record{GSN: j.gsn, ID: j.req.ID, Method: j.req.Method, Payload: j.req.Payload, Dup: j.dup})
+		}
+		err := st.AppendCommits(recs)
+		clear(recs) // drop the payload references; keep the capacity
+		g.walRun = recs[:0]
+		if err != nil {
+			g.walFail(fmt.Sprintf("append gsn %d..%d", run[0].gsn, run[len(run)-1].gsn), err)
+			return false
+		}
+		g.walAppended(len(run))
 	}
-	g.ins.walAppends.Inc()
+	for i := range run {
+		g.enqueue(run[i])
+	}
 	return true
 }
 
+// walAppended accounts one successful media append covering n records.
+func (g *Gateway) walAppended(n int) {
+	g.ins.walAppends.Add(uint64(n))
+	g.ins.walRunRecords.Observe(float64(n))
+	g.ins.walLogBytes.Set(int64(g.cfg.Durable.LogBytes()))
+}
+
 // walLogAssigns extends the store's durable assignment frontier to the
-// commit buffer's contiguous assignment frontier. It runs before any
-// AssignAck: an acknowledged frontier the acker cannot recover after a
-// crash would let a sequencer release a floor whose takeover quorum no
-// longer holds the assignments. No-op without a durable store.
+// commit buffer's contiguous assignment frontier, as one append. It runs
+// before any AssignAck: an acknowledged frontier the acker cannot recover
+// after a crash would let a sequencer release a floor whose takeover quorum
+// no longer holds the assignments. A failed append wedges the replica with
+// the durable frontier — and so the ackable one — where it was. No-op
+// without a durable store.
 func (g *Gateway) walLogAssigns() {
 	if g.cfg.Durable == nil || g.wedged {
 		return
@@ -136,13 +178,16 @@ func (g *Gateway) walLogAssigns() {
 	if from >= g.commit.AssignFrontier() {
 		return
 	}
-	for _, a := range g.commit.ContiguousAssigns(from) {
-		if err := st.AppendAssign(a.GSN, a.ID); err != nil {
-			g.walFail(fmt.Sprintf("assign gsn %d", a.GSN), err)
-			return
-		}
-		g.ins.walAppends.Inc()
+	assigns := g.commit.ContiguousAssigns(from)
+	run := make([]wal.Assign, len(assigns))
+	for i, a := range assigns {
+		run[i] = wal.Assign{GSN: a.GSN, ID: a.ID}
 	}
+	if err := st.AppendAssigns(run); err != nil {
+		g.walFail(fmt.Sprintf("assign gsn %d..%d", run[0].GSN, run[len(run)-1].GSN), err)
+		return
+	}
+	g.walAppended(len(run))
 }
 
 // ackableFrontier is the assignment frontier this replica may acknowledge:
@@ -178,15 +223,16 @@ func (g *Gateway) walSaveSnapshot(csn uint64, appState []byte, ids []consistency
 		return false
 	}
 	g.ins.walSnapshots.Inc()
+	g.ins.walLogBytes.Set(0)
 	return true
 }
 
-// maybeCompact folds the log into a fresh snapshot once it exceeds the
-// compaction threshold. Runs only when the applied frontier has caught up
-// with the commit frontier, so the snapshot provably covers every logged
-// record.
+// maybeCompact folds the log into a fresh snapshot once compaction is due
+// (Config.SnapshotEvery; wal.Store.CompactionDue). Runs only when the
+// applied frontier has caught up with the commit frontier, so the snapshot
+// provably covers every logged record.
 func (g *Gateway) maybeCompact() {
-	if g.cfg.Durable == nil || g.cfg.Durable.LogRecords() < g.cfg.SnapshotEvery {
+	if g.cfg.Durable == nil || !g.cfg.Durable.CompactionDue(g.cfg.SnapshotEvery) {
 		return
 	}
 	if g.applied != g.commit.MyCSN() {

@@ -89,9 +89,11 @@ type Config struct {
 	// and Init replays snapshot + log suffix back to the exact pre-crash
 	// commit frontier instead of re-fetching history from peers.
 	Durable *wal.Store
-	// SnapshotEvery compacts the log into a fresh snapshot once it holds
-	// this many records; 0 selects a default of 256. Only meaningful with
-	// Durable.
+	// SnapshotEvery, when positive, compacts the log into a fresh snapshot
+	// once it holds exactly this many records. 0 selects the default rule,
+	// which amortises the cell rewrite against the log: at least 256 records
+	// and at least as many log bytes as the snapshot cell being replaced
+	// (wal.Store.CompactionDue). Only meaningful with Durable.
 	SnapshotEvery int
 	// ReplicatedAssign enables quorum-replicated GSN assignment: primaries
 	// acknowledge their contiguous assignment frontier (AssignAck), the
@@ -139,9 +141,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.LazyInterval <= 0 {
 		c.LazyInterval = 2 * time.Second
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 256
 	}
 }
 
@@ -195,6 +194,12 @@ type Gateway struct {
 	// Work queue (single server: queueing delay is emergent).
 	queue []job
 	busy  bool
+
+	// jobRun and walRun are scratch for enqueueCommits and releaseRun: the
+	// run of jobs being released and its WAL records, reused so a release
+	// allocates nothing per update.
+	jobRun []job
+	walRun []wal.Record
 
 	// applied is the GSN of the last update actually executed against the
 	// application; it trails commit.MyCSN() by the queue contents.

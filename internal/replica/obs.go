@@ -39,10 +39,14 @@ type replicaInstruments struct {
 	lazyBatchHist   *obs.Histogram
 	serviceTimeHist *obs.Histogram
 
-	// Durability: WAL appends and snapshot-cell writes, recoveries run at
+	// Durability: WAL records appended and snapshot-cell writes, records per
+	// media append (one durability barrier each — the amortisation factor
+	// behind syncs per update), the log's current size, recoveries run at
 	// Init, and the per-recovery replayed-record count.
 	walAppends       *obs.Counter
 	walSnapshots     *obs.Counter
+	walRunRecords    *obs.Histogram
+	walLogBytes      *obs.Gauge
 	recoveries       *obs.Counter
 	recoveryReplayed *obs.Histogram
 
@@ -73,6 +77,8 @@ func newReplicaInstruments(reg *obs.Registry, self node.ID) replicaInstruments {
 		serviceTimeHist:  reg.Histogram("aqua_replica_service_ms", obs.LatencyBucketsMS(), "node", n),
 		walAppends:       reg.Counter("aqua_replica_wal_appends_total", "node", n),
 		walSnapshots:     reg.Counter("aqua_replica_wal_snapshots_total", "node", n),
+		walRunRecords:    reg.Histogram("aqua_replica_wal_run_records", obs.DepthBuckets(), "node", n),
+		walLogBytes:      reg.Gauge("aqua_replica_wal_log_bytes", "node", n),
 		recoveries:       reg.Counter("aqua_replica_recoveries_total", "node", n),
 		recoveryReplayed: reg.Histogram("aqua_replica_recovery_replayed_records", obs.DepthBuckets(), "node", n),
 		orderCommits:     reg.Counter("aqua_sequencer_order_commits_total", "node", n),

@@ -263,30 +263,17 @@ func TestFloorRebroadcastAfterLostOrderCommit(t *testing.T) {
 	}
 }
 
-// errMedia wraps a Media and fails appends on demand — the real-media
-// failure (e.g. a full or dying disk) the simulator's MemMedia never
-// produces.
-type errMedia struct {
-	wal.Media
-	fail bool
-}
-
-func (m *errMedia) AppendLog(b []byte) error {
-	if m.fail {
-		return fmt.Errorf("media: injected append failure")
-	}
-	return m.Media.AppendLog(b)
-}
-
 // TestWALFailureWedgesReplica is the finding-4 regression: a durable
 // replica whose WAL append fails must fail stop — no further applies, no
 // acks, no participation — rather than keep serving with a permanently
-// stale durable frontier.
+// stale durable frontier. The failure lands inside a two-commit run whose
+// first record reaches the media whole: the run is one append, so a failed
+// run exposes none of its jobs — not even the prefix the disk holds.
 func TestWALFailureWedgesReplica(t *testing.T) {
 	s := sim.NewScheduler(43)
 	rt := sim.NewRuntime(s, sim.WithDelay(netsim.ConstantDelay(ms)))
 	tb := &testbed{s: s, rt: rt, replicas: make(map[node.ID]*Gateway), cli: &probe{}}
-	em := &errMedia{Media: wal.NewMemMedia()}
+	media := wal.NewMemMedia()
 	mk := func(id node.ID) *Gateway {
 		cfg := Config{
 			Primary:      true,
@@ -296,9 +283,13 @@ func TestWALFailureWedgesReplica(t *testing.T) {
 			Group:        group.DefaultConfig(),
 			LazyInterval: 30 * time.Second,
 			App:          apps.NewKVStore(),
+			// The sequencer batches same-window updates into one
+			// GSNAssignBatch, so followers release them as one run.
+			AssignBatch:       8,
+			AssignBatchWindow: 5 * ms,
 		}
 		if id == "p2" {
-			cfg.Durable = wal.NewStore(em)
+			cfg.Durable = wal.NewStore(media)
 		}
 		g := New(cfg)
 		tb.replicas[id] = g
@@ -313,9 +304,7 @@ func TestWALFailureWedgesReplica(t *testing.T) {
 	s.RunFor(200 * ms)
 
 	for i := uint64(1); i <= 2; i++ {
-		for _, id := range []node.ID{"p0", "p1", "p2"} {
-			tb.cli.send(id, req(i, false, "Set", fmt.Sprintf("k%d=%d", i, i), 0))
-		}
+		tb.update(i, fmt.Sprintf("k%d=%d", i, i))
 	}
 	s.RunFor(time.Second)
 	p2 := tb.replicas["p2"]
@@ -323,35 +312,224 @@ func TestWALFailureWedgesReplica(t *testing.T) {
 		t.Fatalf("pre-fault p2 applied = %d, want 2", got)
 	}
 
-	// The disk dies. The next release must wedge p2, not silently skip
-	// durability while still acking.
-	em.fail = true
-	for _, id := range []node.ID{"p0", "p1", "p2"} {
-		tb.cli.send(id, req(3, false, "Set", "k3=3", 0))
-	}
+	// The disk dies three bytes into the second record of the next run. The
+	// release must wedge p2, not silently skip durability while still
+	// acking — and not expose commit 3 on the strength of its whole record.
+	r3 := wal.Record{GSN: 3, ID: consistency.RequestID{Client: "cli", Seq: 3}, Method: "Set", Payload: []byte("k3=3")}
+	held := len(media.Log()) + len(wal.AppendRecord(nil, &r3))
+	media.FailAfter(held + 3)
+	tb.update(3, "k3=3")
+	tb.update(4, "k4=4")
 	s.RunFor(time.Second)
 
 	if !p2.Wedged() {
 		t.Fatal("WAL append failure did not wedge the replica")
 	}
-	if got := p2.Applied(); got != 2 {
-		t.Fatalf("wedged p2 applied = %d, want 2 (nothing after the failure may apply)", got)
+	if got := len(media.Log()); got != held+3 {
+		t.Fatalf("media holds %d log bytes, want %d: the failure did not land inside a two-commit run", got, held+3)
 	}
-	if got := tb.replicas["p1"].Applied(); got != 3 {
-		t.Fatalf("healthy p1 applied = %d, want 3", got)
+	if got := p2.Applied(); got != 2 || len(p2.queue) != 0 {
+		t.Fatalf("wedged p2 applied = %d with %d queued jobs, want 2 and 0 (a failed run exposes none of its jobs)", got, len(p2.queue))
+	}
+	if got := p2.cfg.Durable.Frontier(); got != 2 {
+		t.Fatalf("wedged p2 store frontier = %d, want 2 (a failed run moves nothing)", got)
+	}
+	if got := tb.replicas["p1"].Applied(); got != 4 {
+		t.Fatalf("healthy p1 applied = %d, want 4", got)
 	}
 
 	// A wedged replica is silent: no replies to later requests.
-	for _, id := range []node.ID{"p0", "p1", "p2"} {
-		tb.cli.send(id, req(4, false, "Set", "k4=4", 0))
-	}
+	tb.update(5, "k5=5")
 	s.RunFor(2 * time.Second)
 	for _, r := range tb.cli.replies {
 		if r.Replica == "p2" && r.ID.Seq >= 3 {
 			t.Fatalf("wedged p2 replied to seq %d", r.ID.Seq)
 		}
 	}
-	if got := tb.replicas["p1"].Applied(); got != 4 {
-		t.Fatalf("group did not heal around the wedged replica: p1 applied %d, want 4", got)
+	if got := tb.replicas["p1"].Applied(); got != 5 {
+		t.Fatalf("group did not heal around the wedged replica: p1 applied %d, want 5", got)
+	}
+}
+
+// TestRecoveredTornTailIsFolded is the torn-tail regression: recovery stops
+// at a torn final record but the media cannot cut it, so an incarnation
+// that kept appending behind those bytes would lose everything it logged —
+// acknowledged commits included — at its own next crash. The recovering
+// replica must fold its state into a fresh cell (which resets the log)
+// before it logs anything.
+func TestRecoveredTornTailIsFolded(t *testing.T) {
+	const lazy = 30 * time.Second
+	dtb := newDurableTestbed(44, lazy)
+	dtb.rt.Start()
+	dtb.s.RunFor(200 * ms)
+
+	for i := uint64(1); i <= 2; i++ {
+		dtb.update(i, fmt.Sprintf("k%d=%d", i, i))
+	}
+	dtb.s.RunFor(time.Second)
+	if got := dtb.replicas["p2"].Applied(); got != 2 {
+		t.Fatalf("pre-crash p2 applied = %d, want 2", got)
+	}
+
+	// p2 dies inside the append of its next run: the frame's first bytes
+	// reach the media, the rest never does.
+	dtb.rt.Crash("p2")
+	m := dtb.reg.Get("p2")
+	r3 := wal.Record{GSN: 3, ID: consistency.RequestID{Client: "cli", Seq: 3}, Method: "Set", Payload: []byte("k3=3")}
+	frame := wal.AppendRecord(nil, &r3)
+	m.SetLog(append(append([]byte(nil), m.Log()...), frame[:len(frame)-4]...))
+	dtb.s.RunFor(100 * ms)
+
+	p2 := dtb.restartRecover("p2", lazy)
+	dtb.s.RunFor(300 * ms)
+	if got := p2.Recovered(); got != 2 {
+		t.Fatalf("first recovery at CSN %d, want 2", got)
+	}
+	if p2.Wedged() {
+		t.Fatal("recovery fold wedged the replica")
+	}
+
+	// The recovered incarnation commits — and acknowledges — three more.
+	for i := uint64(3); i <= 5; i++ {
+		dtb.update(i, fmt.Sprintf("k%d=%d", i, i))
+	}
+	dtb.s.RunFor(time.Second)
+	if got := p2.Applied(); got != 5 {
+		t.Fatalf("recovered p2 applied = %d, want 5", got)
+	}
+	acked := 0
+	for _, r := range dtb.cli.replies {
+		if r.Replica == "p2" && r.ID.Seq >= 3 {
+			acked++
+		}
+	}
+	if acked != 3 {
+		t.Fatalf("recovered p2 acknowledged %d of updates 3..5, want 3", acked)
+	}
+
+	// Its own crash must not lose them.
+	dtb.rt.Crash("p2")
+	dtb.s.RunFor(100 * ms)
+	p2 = dtb.restartRecover("p2", lazy)
+	dtb.s.RunFor(300 * ms)
+	if got := p2.Recovered(); got != 5 {
+		t.Fatalf("second recovery at CSN %d, want 5: commits logged behind the torn tail were lost", got)
+	}
+	if v, err := p2.App().Read("Get", []byte("k5")); err != nil || string(v) != "5" {
+		t.Fatalf("twice-recovered p2 k5 = %q (%v)", v, err)
+	}
+}
+
+// walTap watches one replica from both sides of the durability barrier: as
+// its media it records how many records each log append carried, and as its
+// node context it checks every AssignAck and Reply against the store's
+// frontiers at the instant the message leaves. The store moves a frontier
+// only once the covering media append has returned, so "frontier below the
+// message" is exactly "sent before the append covering it returned".
+type walTap struct {
+	wal.Media
+	node.Context
+	store   *wal.Store
+	appends []int // records per media append, in order
+	acks    []uint64
+	replies int
+	early   []string
+}
+
+func (w *walTap) AppendLog(b []byte) error {
+	n := 0
+	if _, _, err := wal.Replay(b, func(wal.Record) error { n++; return nil }); err != nil {
+		return err
+	}
+	w.appends = append(w.appends, n)
+	return w.Media.AppendLog(b)
+}
+
+func (w *walTap) Send(to node.ID, m node.Message) {
+	if dm, ok := m.(group.DataMsg); ok {
+		switch p := dm.Payload.(type) {
+		case consistency.AssignAck:
+			w.acks = append(w.acks, p.Frontier)
+			if df := w.store.AssignFrontier(); p.Frontier > df {
+				w.early = append(w.early, fmt.Sprintf("AssignAck %d left at durable assign frontier %d", p.Frontier, df))
+			}
+		case consistency.Reply:
+			w.replies++
+			if df := w.store.Frontier(); p.CSN > df {
+				w.early = append(w.early, fmt.Sprintf("Reply at CSN %d left at durable frontier %d", p.CSN, df))
+			}
+		}
+	}
+	w.Context.Send(to, m)
+}
+
+// tappedGateway hands the gateway the tap in place of its runtime context.
+type tappedGateway struct {
+	*Gateway
+	tap *walTap
+}
+
+func (n tappedGateway) Init(ctx node.Context) {
+	n.tap.Context = ctx
+	n.Gateway.Init(n.tap)
+}
+
+// TestFollowerLogsEachRunOnce pins the group commit at a follower: a
+// 64-update GSNAssignBatch is one media append (64 assign records) and one
+// AssignAck; the OrderCommit covering it is one more (64 commit records);
+// and neither the ack nor any of the 64 replies leaves before the append
+// covering it returned.
+func TestFollowerLogsEachRunOnce(t *testing.T) {
+	const lazy = 30 * time.Second
+	const n = 64
+	dtb := newDurableTestbed(45, lazy)
+	tap := &walTap{Media: dtb.reg.Get("p2")}
+	cfg := dtb.config("p2", true, lazy)
+	tap.store = wal.NewStore(tap)
+	cfg.Durable = tap.store
+	p2 := New(cfg)
+	dtb.replicas["p2"] = p2
+	dtb.rt.Start()
+	dtb.rt.Crash("p2") // swap the untapped p2 for the tapped one
+	dtb.rt.Restart("p2", tappedGateway{p2, tap})
+	dtb.s.RunFor(200 * ms)
+
+	// Bodies first, then the whole window's assignment, then its release —
+	// fed to p2 directly so each arrives as exactly one message.
+	ids := make([]consistency.RequestID, n)
+	dtb.s.After(0, func() {
+		for i := range ids {
+			seq := uint64(i + 1)
+			ids[i] = consistency.RequestID{Client: "cli", Seq: seq}
+			p2.onRequest("cli", req(seq, false, "Set", fmt.Sprintf("k%d=%d", seq, seq), 0))
+		}
+	})
+	dtb.s.RunFor(10 * ms)
+	if len(tap.appends) != 0 {
+		t.Fatalf("bodies alone reached the log: appends %v", tap.appends)
+	}
+
+	dtb.s.After(0, func() { p2.onAssignBatch(consistency.GSNAssignBatch{First: 1, Updates: ids}) })
+	dtb.s.RunFor(10 * ms)
+	if len(tap.appends) != 1 || tap.appends[0] != n {
+		t.Fatalf("a %d-update GSNAssignBatch made media appends %v, want one of %d records", n, tap.appends, n)
+	}
+	if len(tap.acks) != 1 || tap.acks[0] != n {
+		t.Fatalf("AssignAcks %v, want one at frontier %d", tap.acks, n)
+	}
+
+	dtb.s.After(0, func() { p2.onOrderCommit(consistency.OrderCommit{Floor: n}) })
+	dtb.s.RunFor(time.Second)
+	if len(tap.appends) != 2 || tap.appends[1] != n {
+		t.Fatalf("the covering OrderCommit made media appends %v, want a second of %d records", tap.appends, n)
+	}
+	if got := p2.Applied(); got != n || tap.replies != n {
+		t.Fatalf("p2 applied %d and replied %d times, want %d/%d", got, tap.replies, n, n)
+	}
+	if appends, _, _, syncs := tap.store.Stats(); appends != 2*n || syncs != 2 {
+		t.Fatalf("store counted %d records over %d barriers, want %d over 2", appends, syncs, 2*n)
+	}
+	for _, e := range tap.early {
+		t.Error(e)
 	}
 }

@@ -107,14 +107,17 @@ func (g *Gateway) onAssignBatch(ab consistency.GSNAssignBatch) {
 	}
 }
 
-// enqueueCommits moves newly committable updates into the work queue, in
-// commit order, and re-examines reads waiting for the commit stream.
+// enqueueCommits moves a run of newly committable updates into the work
+// queue, in commit order, and re-examines reads waiting for the commit
+// stream. The whole run crosses the durability barrier first (releaseRun):
+// a failed append wedges the replica and none of the run becomes visible.
 func (g *Gateway) enqueueCommits(commits []consistency.Request) {
 	if len(commits) == 0 {
 		return
 	}
 	base := g.commit.MyCSN() - uint64(len(commits))
 	now := g.ctx.Now()
+	run := g.jobRun[:0]
 	for i, req := range commits {
 		arrived, ok := g.bodyArrived[req.ID]
 		if !ok {
@@ -126,26 +129,24 @@ func (g *Gateway) enqueueCommits(commits []consistency.Request) {
 			g.markCommitted(req.ID)
 			g.rememberBody(req)
 		}
-		gsn := base + uint64(i) + 1
-		// Durability barrier: the record hits the log before the job (and
-		// with it the apply and the ack) exists. A failed append wedges the
-		// replica — this commit and everything after it must not become
-		// visible.
-		if !g.walAppend(gsn, &req, dup) {
-			break
-		}
-		g.enqueue(job{
+		run = append(run, job{
 			kind:      jobUpdate,
 			req:       req,
 			from:      req.ID.Client,
-			gsn:       gsn,
+			gsn:       base + uint64(i) + 1,
 			arrivedAt: arrived,
 			dup:       dup,
 		})
-		// Publisher accounting: an update was received/ordered.
-		g.updatesSinceBroadcast++
-		g.updatesSinceLazy++
 	}
+	released := g.releaseRun(run)
+	clear(run) // drop the request references; keep the capacity
+	g.jobRun = run[:0]
+	if !released {
+		return
+	}
+	// Publisher accounting: updates were received/ordered.
+	g.updatesSinceBroadcast += len(commits)
+	g.updatesSinceLazy += len(commits)
 	g.releaseCommitWaiters()
 	g.observeDepths()
 }
@@ -521,16 +522,16 @@ func (g *Gateway) onStateUpdate(su consistency.StateUpdate) {
 		// assign below it.
 		g.seqState.Resume(su.CSN)
 	}
-	base := su.CSN
+	// Updates staged above the snapshot become sequential: log them as one
+	// run and queue them (the apply guard in complete() keeps ordering safe).
+	var run []job
 	for i, req := range g.commit.SkipTo(su.CSN) {
-		// Updates staged above the snapshot become sequential: queue them
-		// (the apply guard in complete() keeps ordering safe).
 		g.rememberBody(req)
-		if !g.walAppend(base+uint64(i)+1, &req, false) {
-			return
-		}
-		g.enqueue(job{kind: jobUpdate, req: req, from: req.ID.Client,
-			gsn: base + uint64(i) + 1, arrivedAt: g.ctx.Now()})
+		run = append(run, job{kind: jobUpdate, req: req, from: req.ID.Client,
+			gsn: su.CSN + uint64(i) + 1, arrivedAt: g.ctx.Now()})
+	}
+	if !g.releaseRun(run) {
+		return
 	}
 	if su.CSN > g.applied {
 		g.applied = su.CSN

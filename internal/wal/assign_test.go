@@ -78,15 +78,15 @@ func TestStoreAppendAssignContiguity(t *testing.T) {
 	if _, err := s.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendAssign(asg(2).GSN, asg(2).ID); err == nil {
+	if err := s.AppendAssigns([]Assign{asg(2)}); err == nil {
 		t.Fatal("gap assign (gsn 2 into empty store) accepted")
 	}
 	for g := uint64(1); g <= 3; g++ {
-		if err := s.AppendAssign(asg(g).GSN, asg(g).ID); err != nil {
+		if err := s.AppendAssigns([]Assign{asg(g)}); err != nil {
 			t.Fatalf("assign %d: %v", g, err)
 		}
 	}
-	if err := s.AppendAssign(asg(3).GSN, asg(3).ID); err == nil {
+	if err := s.AppendAssigns([]Assign{asg(3)}); err == nil {
 		t.Fatal("duplicate assign accepted")
 	}
 	if got := s.AssignFrontier(); got != 3 {
@@ -100,7 +100,7 @@ func TestStoreAppendAssignContiguity(t *testing.T) {
 	// commit record subsumes the assignment.
 	for g := uint64(1); g <= 4; g++ {
 		r := rec(g)
-		if err := s.Append(&r); err != nil {
+		if err := s.AppendCommits([]Record{r}); err != nil {
 			t.Fatalf("commit %d: %v", g, err)
 		}
 	}
@@ -111,14 +111,14 @@ func TestStoreAppendAssignContiguity(t *testing.T) {
 		t.Fatalf("assign frontier = %d, want 4 (commit subsumes assignment)", got)
 	}
 	// The assign chain resumes above the subsumed range.
-	if err := s.AppendAssign(asg(5).GSN, asg(5).ID); err != nil {
+	if err := s.AppendAssigns([]Assign{asg(5)}); err != nil {
 		t.Fatalf("assign 5 after commits: %v", err)
 	}
 
-	// Append rejects assign-kind records (API misuse guard).
+	// AppendCommits rejects assign-kind records (API misuse guard).
 	bad := Record{Kind: KindAssign, GSN: 5, ID: asg(5).ID}
-	if err := s.Append(&bad); err == nil {
-		t.Fatal("Append accepted an assign-kind record")
+	if err := s.AppendCommits([]Record{bad}); err == nil {
+		t.Fatal("AppendCommits accepted an assign-kind record")
 	}
 }
 
@@ -134,13 +134,13 @@ func TestStoreRecoverAssigns(t *testing.T) {
 	}
 	// Interleave: assigns 1..5 durable, commits released for 1..2 only.
 	for g := uint64(1); g <= 5; g++ {
-		if err := s.AppendAssign(asg(g).GSN, asg(g).ID); err != nil {
+		if err := s.AppendAssigns([]Assign{asg(g)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for g := uint64(1); g <= 2; g++ {
 		r := rec(g)
-		if err := s.Append(&r); err != nil {
+		if err := s.AppendCommits([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestStoreRecoverAssigns(t *testing.T) {
 		t.Fatalf("post-compaction assign frontier = %d, want 5", got)
 	}
 	// The assign chain continues durably across the compaction boundary.
-	if err := s3.AppendAssign(asg(6).GSN, asg(6).ID); err != nil {
+	if err := s3.AppendAssigns([]Assign{asg(6)}); err != nil {
 		t.Fatalf("assign 6 after compaction recovery: %v", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestStoreSnapshotMustCoverAssignFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := uint64(1); g <= 3; g++ {
-		if err := s.AppendAssign(asg(g).GSN, asg(g).ID); err != nil {
+		if err := s.AppendAssigns([]Assign{asg(g)}); err != nil {
 			t.Fatal(err)
 		}
 	}

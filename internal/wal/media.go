@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,9 +37,10 @@ type Media interface {
 // virtual-time execution byte-identical.
 //
 // MemMedia doubles as the crash-point injection surface: FailAfter bounds
-// how many log bytes become durable, silently dropping the excess exactly
-// like a torn write at that boundary, and the adversarial tests rewrite
-// Log/SetLog images to plant corruption between incarnations.
+// how many log bytes become durable, so the append that crosses the bound
+// lands as a torn write and fails — the writer "died" inside it — and the
+// adversarial tests rewrite Log/SetLog images to plant corruption between
+// incarnations.
 type MemMedia struct {
 	snapshot []byte
 	log      []byte
@@ -48,6 +50,10 @@ type MemMedia struct {
 	// beyond it are dropped (the crash-point injection knob). -1 is off.
 	failAfter int
 }
+
+// ErrTornWrite is what MemMedia.AppendLog returns for an append that
+// crossed the FailAfter bound: only a prefix of it is on the media.
+var ErrTornWrite = errors.New("wal: injected torn write")
 
 // NewMemMedia returns an empty in-memory media.
 func NewMemMedia() *MemMedia { return &MemMedia{failAfter: -1} }
@@ -74,8 +80,12 @@ func (m *MemMedia) AppendLog(b []byte) error {
 		}
 		if len(b) > room {
 			// Torn write: the prefix lands, the rest never reaches the
-			// platter. The writer is not told — that is the point.
-			b = b[:room]
+			// platter, and the append never completes. The simulator cannot
+			// kill a node inside a callback, so the writer is told instead
+			// and fail-stops — nothing the append covered becomes visible,
+			// exactly as if the process had died here.
+			m.log = append(m.log, b[:room]...)
+			return ErrTornWrite
 		}
 	}
 	m.log = append(m.log, b...)
@@ -92,8 +102,9 @@ func (m *MemMedia) ResetLog() error {
 // Syncs implements Media.
 func (m *MemMedia) Syncs() uint64 { return m.syncs }
 
-// FailAfter caps the durable log at n total bytes; appends beyond it are
-// silently torn at that boundary. n < 0 disables the injection.
+// FailAfter caps the durable log at n total bytes: the append that crosses
+// the boundary is torn there and returns ErrTornWrite. n < 0 disables the
+// injection.
 func (m *MemMedia) FailAfter(n int) { m.failAfter = n }
 
 // Log returns the raw log image (test inspection).

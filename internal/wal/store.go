@@ -1,17 +1,14 @@
 package wal
 
-import (
-	"fmt"
-
-	"aqua/internal/consistency"
-)
+import "fmt"
 
 // Store is one replica's durable state: a snapshot cell plus the log of
-// commits released since that snapshot. The owning gateway appends a record
-// per released commit (before acknowledging it), replaces the snapshot at
-// compaction points, and recovers snapshot + log suffix at startup. All
-// methods are synchronous; the store carries no timers and draws no
-// randomness, so it never perturbs the simulator's virtual time.
+// commits released since that snapshot. The owning gateway appends each run
+// of released commits with one media append (before acknowledging any of
+// them), replaces the snapshot at compaction points, and recovers snapshot +
+// log suffix at startup. All methods are synchronous; the store carries no
+// timers and draws no randomness, so it never perturbs the simulator's
+// virtual time.
 type Store struct {
 	media Media
 
@@ -19,6 +16,18 @@ type Store struct {
 	// GSN of the last appended commit record (the durable commit frontier).
 	records  int
 	frontier uint64
+
+	// logBytes is the log's length since its last reset and cellBytes the
+	// size of the snapshot cell: the default compaction rule weighs one
+	// against the other (see CompactionDue). Recover restores both.
+	logBytes  int
+	cellBytes int
+
+	// tail counts the bytes at the end of the recovered log that replay
+	// could not cross. Anything appended behind them would be unreachable at
+	// the next recovery, so appends are refused until a snapshot resets the
+	// log (the gateway folds at Init; see Recovered.TailBytes).
+	tail int
 
 	// assignFrontier is the durable assignment frontier: every assignment
 	// at or below it is held by an assign record, a commit record, or the
@@ -60,17 +69,25 @@ type Recovered struct {
 	// or the snapshot's CSN when the log holds no commits.
 	CSN uint64
 	// Torn reports that the log ended in an incomplete record (crash
-	// mid-append) which recovery truncated.
+	// mid-append), where replay stopped.
 	Torn bool
+	// TailBytes is the length of the log's unreplayed tail: the torn,
+	// corrupt or non-contiguous bytes replay stopped at. Recovery cannot cut
+	// them (the media only appends or resets), so when it is non-zero the
+	// caller must fold the recovered state into a fresh snapshot cell —
+	// SaveSnapshot resets the log — before it appends anything.
+	TailBytes int
 }
 
 // Recover loads the snapshot cell and replays the log suffix. A torn final
-// record is truncated (the expected crash artifact); corruption anywhere
-// stops replay at the preceding record boundary — deterministically, so
-// recovering twice from the same image yields the same frontier. Records at
-// or below the snapshot CSN or breaking GSN contiguity also stop replay:
-// past that point the log is not a trustworthy continuation. The store's
-// append frontier resumes from the recovered state.
+// record ends replay (the expected crash artifact — with run-sized appends,
+// anywhere inside the last run); corruption anywhere stops replay at the
+// preceding record boundary — deterministically, so recovering twice from
+// the same image yields the same frontier. Records at or below the snapshot
+// CSN or breaking GSN contiguity also stop replay: past that point the log
+// is not a trustworthy continuation. The store's append frontier resumes
+// from the recovered state, but the bytes replay stopped at are still on the
+// media: see Recovered.TailBytes.
 func (s *Store) Recover() (Recovered, error) {
 	var out Recovered
 	cell, err := s.media.LoadSnapshot()
@@ -84,6 +101,7 @@ func (s *Store) Recover() (Recovered, error) {
 			// the whole store as empty rather than replay a log whose
 			// starting state is unknown.
 			s.frontier, s.assignFrontier, s.records = 0, 0, 0
+			s.logBytes, s.cellBytes, s.tail = 0, 0, 0
 			return Recovered{}, fmt.Errorf("wal: snapshot cell unreadable: %w", errOr(err, ErrCorrupt))
 		}
 		out.Snapshot = snap
@@ -99,7 +117,7 @@ func (s *Store) Recover() (Recovered, error) {
 	out.Assigns = append(out.Assigns, out.Snapshot.Assigns...)
 	replayed := 0
 	stop := fmt.Errorf("wal: stop") // sentinel: replay prefix ends here
-	_, torn, _ := Replay(log, func(r Record) error {
+	valid, torn, _ := Replay(log, func(r Record) error {
 		if r.Kind == KindAssign {
 			if r.GSN != assignNext+1 {
 				return stop
@@ -123,6 +141,7 @@ func (s *Store) Recover() (Recovered, error) {
 		return nil
 	})
 	out.Torn = torn
+	out.TailBytes = len(log) - valid
 	if s.dropTail > 0 {
 		// Injected bug: lose the tail and pretend recovery was complete.
 		n := len(out.Records) - s.dropTail
@@ -155,6 +174,7 @@ func (s *Store) Recover() (Recovered, error) {
 		s.assignFrontier = s.frontier
 	}
 	s.records = replayed
+	s.logBytes, s.cellBytes, s.tail = len(log), len(cell), out.TailBytes
 	return out, nil
 }
 
@@ -169,52 +189,72 @@ func assignsContiguous(csn uint64, assigns []Assign) bool {
 	return true
 }
 
-// Append durably logs one released commit. Records must arrive in commit
-// order (GSN = frontier+1); anything else is a caller bug.
-func (s *Store) Append(r *Record) error {
-	if r.Kind != KindCommit {
-		return fmt.Errorf("wal: append record kind %d; use AppendAssign", r.Kind)
-	}
-	if s.frontier != 0 || s.records > 0 || s.snapshots > 0 {
-		if r.GSN != s.frontier+1 {
-			return fmt.Errorf("wal: append gsn %d does not extend frontier %d", r.GSN, s.frontier)
+// AppendCommits durably logs one run of released commits with a single
+// media append — one durability barrier however long the run. The run must
+// extend the commit frontier one GSN at a time; anything else is a caller
+// bug. Nothing moves unless the media append returns nil: a failed run
+// leaves both frontiers and every counter where they were, and what reached
+// the media is at most a whole-record prefix plus a torn tail.
+func (s *Store) AppendCommits(run []Record) error {
+	b := s.scratch[:0]
+	for i := range run {
+		r := &run[i]
+		if r.Kind != KindCommit {
+			return fmt.Errorf("wal: commit run holds record kind %d; use AppendAssigns", r.Kind)
 		}
-	} else if r.GSN != 1 {
-		// First record of a fresh store: history starts at GSN 1.
-		return fmt.Errorf("wal: append gsn %d into empty store", r.GSN)
+		if at := s.frontier + uint64(i); r.GSN != at+1 {
+			return fmt.Errorf("wal: commit gsn %d does not extend frontier %d", r.GSN, at)
+		}
+		b = AppendRecord(b, r)
 	}
-	s.scratch = AppendRecord(s.scratch[:0], r)
-	if err := s.media.AppendLog(s.scratch); err != nil {
+	if err := s.appendRun(b, len(run)); err != nil {
 		return err
 	}
-	s.frontier = r.GSN
-	if s.assignFrontier < r.GSN {
+	s.frontier += uint64(len(run))
+	if s.assignFrontier < s.frontier {
 		// A released commit subsumes its assignment.
-		s.assignFrontier = r.GSN
+		s.assignFrontier = s.frontier
 	}
-	s.records++
-	s.appends++
-	s.appendBytes += uint64(len(s.scratch))
 	return nil
 }
 
-// AppendAssign durably logs one assignment-table entry. Assignments must
-// extend the assignment frontier one GSN at a time (the gateway logs the
-// contiguous frontier extension before acknowledging it); anything else is
-// a caller bug.
-func (s *Store) AppendAssign(gsn uint64, id consistency.RequestID) error {
-	if gsn != s.assignFrontier+1 {
-		return fmt.Errorf("wal: assign gsn %d does not extend assignment frontier %d", gsn, s.assignFrontier)
+// AppendAssigns durably logs one run of assignment-table entries with a
+// single media append. The run must extend the assignment frontier one GSN
+// at a time (the gateway logs the contiguous frontier extension before
+// acknowledging it); anything else is a caller bug. Failure semantics match
+// AppendCommits.
+func (s *Store) AppendAssigns(run []Assign) error {
+	b := s.scratch[:0]
+	for i, a := range run {
+		if at := s.assignFrontier + uint64(i); a.GSN != at+1 {
+			return fmt.Errorf("wal: assign gsn %d does not extend assignment frontier %d", a.GSN, at)
+		}
+		b = AppendRecord(b, &Record{Kind: KindAssign, GSN: a.GSN, ID: a.ID})
 	}
-	rec := Record{Kind: KindAssign, GSN: gsn, ID: id}
-	s.scratch = AppendRecord(s.scratch[:0], &rec)
-	if err := s.media.AppendLog(s.scratch); err != nil {
+	if err := s.appendRun(b, len(run)); err != nil {
 		return err
 	}
-	s.assignFrontier = gsn
-	s.records++
-	s.appends++
-	s.appendBytes += uint64(len(s.scratch))
+	s.assignFrontier += uint64(len(run))
+	return nil
+}
+
+// appendRun makes n encoded records durable with one media append and only
+// then counts them. b is the store's scratch buffer, kept for the next run.
+func (s *Store) appendRun(b []byte, n int) error {
+	s.scratch = b
+	if n == 0 {
+		return nil
+	}
+	if s.tail > 0 {
+		return fmt.Errorf("wal: log ends in %d unreplayable bytes; snapshot before appending", s.tail)
+	}
+	if err := s.media.AppendLog(b); err != nil {
+		return err
+	}
+	s.records += n
+	s.appends += uint64(n)
+	s.appendBytes += uint64(len(b))
+	s.logBytes += len(b)
 	return nil
 }
 
@@ -246,6 +286,7 @@ func (s *Store) SaveSnapshot(snap *Snapshot) error {
 	s.frontier = snap.CSN
 	s.assignFrontier = snap.CSN + uint64(len(snap.Assigns))
 	s.records = 0
+	s.logBytes, s.cellBytes, s.tail = 0, len(s.scratch), 0
 	s.snapshots++
 	return nil
 }
@@ -260,12 +301,29 @@ func (s *Store) Frontier() uint64 { return s.frontier }
 // Frontier.
 func (s *Store) AssignFrontier() uint64 { return s.assignFrontier }
 
-// LogRecords returns how many records the log holds since the last
-// snapshot — the compaction trigger's input.
-func (s *Store) LogRecords() int { return s.records }
+// compactRecords is the default compaction rule's record floor.
+const compactRecords = 256
 
-// Stats returns the store's append count, appended bytes, snapshot count,
-// and the media's durability-barrier count, for the observability layer.
+// CompactionDue reports whether the log should be folded into a fresh
+// snapshot cell. An explicit every > 0 is a plain record count. Otherwise
+// the default rule amortises the cell rewrite against the log it replaces:
+// at least compactRecords records and at least as many log bytes as the
+// current cell, which bounds write amplification at 2× and replay at one
+// cell's worth of log however large the application state grows.
+func (s *Store) CompactionDue(every int) bool {
+	if every > 0 {
+		return s.records >= every
+	}
+	return s.records >= compactRecords && s.logBytes >= s.cellBytes
+}
+
+// LogBytes returns the log's length since its last reset.
+func (s *Store) LogBytes() int { return s.logBytes }
+
+// Stats returns the store's appended-record count, appended bytes, snapshot
+// count, and the media's durability-barrier count, for the observability
+// layer. A run of records is one barrier, so syncs ÷ appends falls as runs
+// grow.
 func (s *Store) Stats() (appends, appendBytes, snapshots, syncs uint64) {
 	return s.appends, s.appendBytes, s.snapshots, s.media.Syncs()
 }
