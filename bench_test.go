@@ -15,11 +15,8 @@
 package aqua_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
-	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -244,12 +241,10 @@ func wireBenchFrame() (node.ID, node.ID, node.Message) {
 	}
 }
 
-// BenchmarkWireCodec compares the hand-rolled binary wire codec against the
-// gob stream it replaced, on the transport's hot frame. The encode variant
-// is the steady-state writer path (reused buffer, zero allocs); the
-// roundtrip variants add the decode side as the read loop performs it.
+// BenchmarkWireCodec measures the binary wire codec on the transport's hot
+// frame. The encode variant is the steady-state writer path (reused buffer,
+// zero allocs); the roundtrip variant adds the copying decode.
 func BenchmarkWireCodec(b *testing.B) {
-	tcpnet.RegisterProtocolTypes()
 	from, to, msg := wireBenchFrame()
 
 	b.Run("wire/encode", func(b *testing.B) {
@@ -281,49 +276,25 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gob/roundtrip", func(b *testing.B) {
-		// Persistent encoder/decoder over one buffer — the streaming setup
-		// the old transport used, which amortizes gob's type descriptors.
-		var stream bytes.Buffer
-		enc := gob.NewEncoder(&stream)
-		dec := gob.NewDecoder(&stream)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(tcpnet.Frame{From: from, To: to, Payload: msg}); err != nil {
-				b.Fatal(err)
-			}
-			var f tcpnet.Frame
-			if err := dec.Decode(&f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
-// BenchmarkTCPThroughput pushes the hot frame through real loopback TCP,
-// two runtimes per variant, and reports ns per delivered frame (frames/sec
-// = 1e9/ns_per_op; scripts/bench.sh derives it into BENCH_wire.json).
-//
-//	wire — the live Transport: binary codec, per-peer writer goroutine,
-//	       batched flushes.
-//	gob  — the replaced design, reproduced inline: per-frame gob.Encode
-//	       straight onto the connection, gob decode loop on the receiver.
-//
-// On the single-core benchmark container compare frames/sec and allocs/op;
-// ns/op is indicative only.
+// BenchmarkTCPThroughput pushes the hot frame through the live Transport
+// over real loopback TCP (binary codec, per-peer writer goroutine, batched
+// flushes), two runtimes, and reports ns per delivered frame (frames/sec =
+// 1e9/ns_per_op). On a single core compare frames/sec and allocs/op; ns/op
+// is indicative only.
 func BenchmarkTCPThroughput(b *testing.B) {
-	tcpnet.RegisterProtocolTypes()
 	from, to, msg := wireBenchFrame()
 
-	// Receiver-side terminal node shared by both variants: counts
-	// deliveries and wakes the sender every 256 frames so backpressure
-	// blocks on a channel instead of busy-yielding (which would burn the
-	// whole benchmark container's single core in the scheduler).
-	newSink := func() (*atomic.Int64, chan struct{}, node.Node) {
-		got := new(atomic.Int64)
+	b.Run("wire", func(b *testing.B) {
+		// Receiver-side terminal node: counts deliveries and wakes the
+		// sender every 256 frames so backpressure blocks on a channel
+		// instead of busy-yielding (which would burn a single core in the
+		// scheduler).
+		var got atomic.Int64
 		wake := make(chan struct{}, 1)
-		return got, wake, &node.FuncNode{
+		rtB := live.NewRuntime()
+		rtB.Register(to, &node.FuncNode{
 			OnRecv: func(node.ID, node.Message) {
 				if got.Add(1)&255 == 0 {
 					select {
@@ -332,18 +303,7 @@ func BenchmarkTCPThroughput(b *testing.B) {
 					}
 				}
 			},
-		}
-	}
-	drain := func(got *atomic.Int64, n int64) {
-		for got.Load() < n {
-			runtime.Gosched()
-		}
-	}
-
-	b.Run("wire", func(b *testing.B) {
-		rtB := live.NewRuntime()
-		got, wake, sink := newSink()
-		rtB.Register(to, sink)
+		})
 		rtB.Start()
 		defer rtB.Stop()
 		trB, err := tcpnet.New(rtB, "127.0.0.1:0", nil)
@@ -367,52 +327,9 @@ func BenchmarkTCPThroughput(b *testing.B) {
 			}
 			trA.Send(from, to, msg)
 		}
-		drain(got, int64(b.N))
-	})
-
-	b.Run("gob", func(b *testing.B) {
-		rtB := live.NewRuntime()
-		got, _, sink := newSink()
-		rtB.Register(to, sink)
-		rtB.Start()
-		defer rtB.Stop()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
+		for got.Load() < int64(b.N) {
+			runtime.Gosched()
 		}
-		defer ln.Close()
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			dec := gob.NewDecoder(conn)
-			for {
-				var f tcpnet.Frame
-				if err := dec.Decode(&f); err != nil {
-					return
-				}
-				rtB.Inject(f.From, f.To, f.Payload)
-			}
-		}()
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		enc := gob.NewEncoder(conn)
-
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// One Encode per frame onto the socket — the old transport's
-			// per-Send write (TCP itself applies the backpressure).
-			if err := enc.Encode(tcpnet.Frame{From: from, To: to, Payload: msg}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		drain(got, int64(b.N))
 	})
 }
 
@@ -545,8 +462,8 @@ func BenchmarkFig4Point(b *testing.B) {
 // BenchmarkFig4PointObs is BenchmarkFig4Point with a live metrics registry
 // attached to every gateway plus the simulator — the observability
 // subsystem's overhead budget. Compare ns/op against BenchmarkFig4Point
-// (scripts/bench.sh emits the ratio into BENCH_obs.json; the contract is
-// ≤5% overhead with metrics enabled, zero added allocs when disabled).
+// (the contract is ≤5% overhead with metrics enabled, zero added allocs
+// when disabled).
 func BenchmarkFig4PointObs(b *testing.B) {
 	reg := obs.NewRegistry()
 	b.ReportAllocs()

@@ -1,16 +1,16 @@
 // Command aquabench regenerates every table and figure of the paper's
 // evaluation on the deterministic simulator. See EXPERIMENTS.md for the
-// mapping from experiment IDs to the paper's figures.
+// mapping from experiment IDs to the paper's figures; the live stack's
+// wall-clock benchmark is the separate bench/ module.
 //
 // Usage:
 //
 //	aquabench -experiment fig3|fig4a|fig4b|lui|reqdelay|baselines|hotspot|failover|all
 //	aquabench -experiment fig4a -requests 200   # faster, noisier
 //	aquabench -experiment chaos -chaos-runs 8 -faults crash,partition,link,seqkill
-//	aquabench -experiment loadmax -loadmax-json BENCH_loadmax.json
-//	aquabench -experiment shardmax -shards 1,2,4 -shardmax-json BENCH_shardmax.json
+//	aquabench -experiment loadmax -loadmax-json loadmax.json
+//	aquabench -experiment shardmax -shards 1,2,4 -shardmax-json shardmax.json
 //	aquabench -experiment shardchaos -chaos-runs 4
-//	aquabench -experiment livemax -livemax-json BENCH_livemax.json
 package main
 
 import (
@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		which        = flag.String("experiment", "all", "experiment id: fig3, fig4a, fig4b, lui, reqdelay, baselines, hotspot, failover, calibration, groupsplit, window, estimator, scalability, loss, arrivals, chaos, loadmax, shardmax, shardchaos, livemax, all")
+		which        = flag.String("experiment", "all", "experiment id: fig3, fig4a, fig4b, lui, reqdelay, baselines, hotspot, failover, calibration, groupsplit, window, estimator, scalability, loss, arrivals, chaos, loadmax, shardmax, shardchaos, all")
 		requests     = flag.Int("requests", 1000, "requests per client per run (paper: 1000)")
 		seed         = flag.Int64("seed", 2002, "base random seed")
 		iters        = flag.Int("iters", 2000, "iterations per fig3 measurement point")
@@ -40,14 +40,11 @@ func main() {
 		tracePath    = flag.String("trace", "", "stream per-request JSONL trace spans (run-labelled) to this file")
 		faults       = flag.String("faults", "crash,partition,link,seqkill", "chaos fault kinds to inject (comma list of crash, partition, link, seqkill)")
 		chaosRuns    = flag.Int("chaos-runs", 4, "number of seeded chaos runs (seeds seed..seed+n-1)")
-		loadmaxJSON  = flag.String("loadmax-json", "", "also write the loadmax result as JSON to this file (BENCH_loadmax.json)")
+		loadmaxJSON  = flag.String("loadmax-json", "", "also write the loadmax result as JSON to this file")
 		loadmaxQuick = flag.Bool("loadmax-quick", false, "shrink the loadmax ramp for smoke runs (shorter steps, lower top rate)")
 		shards       = flag.String("shards", "", "shard counts for the shardmax ramp, comma list (default 1,2,4)")
-		shardmaxJSON = flag.String("shardmax-json", "", "also write the shardmax report as JSON to this file (BENCH_shardmax.json)")
+		shardmaxJSON = flag.String("shardmax-json", "", "also write the shardmax report as JSON to this file")
 		shardmaxQk   = flag.Bool("shardmax-quick", false, "shrink the shardmax ramp for smoke runs (fewer clients, shorter steps)")
-		livemaxJSON  = flag.String("livemax-json", "", "also write the livemax report as JSON to this file (BENCH_livemax.json)")
-		livemaxQuick = flag.Bool("livemax-quick", false, "shrink the livemax ramp for smoke runs (two rates, short wall-clock windows, no sim comparison)")
-		livemaxShard = flag.Int("livemax-shards", 0, "shard count for the livemax serving process (default 1)")
 	)
 	flag.Parse()
 
@@ -58,7 +55,7 @@ func main() {
 		})
 	}
 
-	if err := run(*which, *requests, *seed, *iters, *obsPath, *tracePath, *faults, *chaosRuns, *loadmaxJSON, *loadmaxQuick, *shards, *shardmaxJSON, *shardmaxQk, *livemaxJSON, *livemaxQuick, *livemaxShard); err != nil {
+	if err := run(*which, *requests, *seed, *iters, *obsPath, *tracePath, *faults, *chaosRuns, *loadmaxJSON, *loadmaxQuick, *shards, *shardmaxJSON, *shardmaxQk); err != nil {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(1)
 	}
@@ -184,42 +181,6 @@ func runShardmax(out *os.File, seed int64, shardsSpec, jsonPath string, quick bo
 	return nil
 }
 
-// runLivemax executes the live-cluster ramp over TCP loopback (legacy vs
-// optimized hot path in one invocation), prints the table, and optionally
-// writes the JSON artifact. Unlike the virtual-time experiments this one
-// consumes real wall clock and real cores.
-func runLivemax(out *os.File, seed int64, jsonPath string, quick bool, shards int) error {
-	cfg := experiment.LivemaxConfig{Seed: seed, Shards: shards, SimCompare: !quick}
-	if quick {
-		cfg.Rates = []float64{500, 2000}
-		cfg.Warmup = 150 * time.Millisecond
-		cfg.StepDuration = 400 * time.Millisecond
-	}
-	rep := experiment.RunLivemax(cfg, func(stage string, rate float64, legacy bool) {
-		mode := "optimized"
-		if legacy {
-			mode = "baseline"
-		}
-		if stage == "hotpath" {
-			fmt.Fprintf(os.Stderr, "aquabench: livemax hotpath pump, %s\n", mode)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "aquabench: livemax %s @ %.0f req/s\n", mode, rate)
-	})
-	experiment.WriteLivemaxTable(out, rep)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return fmt.Errorf("-livemax-json: %w", err)
-		}
-		defer f.Close()
-		if err := experiment.WriteLivemaxJSON(f, rep); err != nil {
-			return fmt.Errorf("-livemax-json: %w", err)
-		}
-	}
-	return nil
-}
-
 // runShardChaos executes the sharded chaos acceptance scenario across seeded
 // runs; any invariant violation, stalled loop, or failed split fails the
 // whole command.
@@ -244,7 +205,7 @@ func runShardChaos(out *os.File, seed int64, runs int) error {
 	return nil
 }
 
-func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int, loadmaxJSON string, loadmaxQuick bool, shardsSpec, shardmaxJSON string, shardmaxQuick bool, livemaxJSON string, livemaxQuick bool, livemaxShards int) error {
+func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int, loadmaxJSON string, loadmaxQuick bool, shardsSpec, shardmaxJSON string, shardmaxQuick bool) error {
 	base := experiment.Fig4Config{
 		Seed:     seed,
 		Deadline: 140 * time.Millisecond,
@@ -415,8 +376,7 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 		fmt.Fprintln(out)
 	}
 	// Loadmax is likewise excluded from "all": it is a throughput benchmark
-	// on a different (open-loop) workload, recorded in BENCH_loadmax.json
-	// rather than the paper-results file.
+	// on a different (open-loop) workload, not a paper table.
 	if which == "loadmax" {
 		ran = true
 		if err := runLoadmax(out, seed, loadmaxJSON, loadmaxQuick); err != nil {
@@ -424,9 +384,8 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 		}
 		fmt.Fprintln(out)
 	}
-	// Shardmax and shardchaos follow the same rule: scale-out benchmarks and
-	// protocol audits live in their own artifacts (BENCH_shardmax.json), not
-	// the paper-results file.
+	// Shardmax and shardchaos follow the same rule: a scale-out benchmark and
+	// a protocol audit, not paper tables.
 	if which == "shardmax" {
 		ran = true
 		if err := runShardmax(out, seed, shardsSpec, shardmaxJSON, shardmaxQuick); err != nil {
@@ -437,16 +396,6 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 	if which == "shardchaos" {
 		ran = true
 		if err := runShardChaos(out, seed, chaosRuns); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	// Livemax is excluded from "all" for a stronger reason than the other
-	// benchmarks: it measures wall-clock throughput over real sockets, so
-	// its numbers depend on the machine. It lives in BENCH_livemax.json.
-	if which == "livemax" {
-		ran = true
-		if err := runLivemax(out, seed, livemaxJSON, livemaxQuick, livemaxShards); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)

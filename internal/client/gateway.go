@@ -54,7 +54,8 @@ type Config struct {
 	// exceeds 1 − MinProb (the paper's client callback). May be nil.
 	OnBreach func(observedFailureRate float64)
 	// MaxPending bounds remembered in-flight/completed requests
-	// (default 1024).
+	// (default 1024). An invocation still unanswered once MaxPending newer
+	// ones exist is failed back to the application.
 	MaxPending int
 	// RetryInterval is how long an in-flight request may go unanswered
 	// before the gateway reselects replicas and retransmits it. The
@@ -255,7 +256,8 @@ func (g *Gateway) handleDelivery(from node.ID, m node.Message) {
 // callbacks (a timer or message handler) — workload drivers wrap the
 // gateway and schedule their calls through the node's own timers. cb is
 // invoked exactly once: with the first reply, or with an error Result
-// after MaxRetries unanswered retransmissions.
+// after MaxRetries unanswered retransmissions or once MaxPending newer
+// invocations evict it unanswered.
 func (g *Gateway) Invoke(method string, payload []byte, cb func(Result)) {
 	g.invoke(method, payload, g.cfg.Spec.Staleness, cb)
 }
@@ -290,7 +292,9 @@ func (g *Gateway) invoke(method string, payload []byte, staleness int, cb func(R
 	}
 	p := &pendingReq{id: id, req: req, readOnly: readOnly, t0: now, cb: cb}
 	g.track(p)
-	g.transmit(p)
+	if !p.done { // an eviction callback's own invocations can evict p
+		g.transmit(p)
+	}
 }
 
 // transmit selects targets and sends one attempt of a pending request,
@@ -352,30 +356,43 @@ func (g *Gateway) retry(p *pendingReq) {
 		return
 	}
 	if p.attempts >= g.cfg.MaxRetries {
-		p.done = true
-		res := Result{
-			Err:          "aqua: no replica responded",
-			ResponseTime: g.ctx.Now().Sub(p.t0),
-			Selected:     p.selected,
-		}
-		if p.readOnly {
-			res.TimingFailure = g.fd.Record(res.ResponseTime)
-			if res.TimingFailure {
-				g.metrics.TimingFailures++
-			}
-			if g.obsOn {
-				g.observeReadOutcome(p, &res)
-			}
-		}
-		if g.cfg.Tracer != nil {
-			g.recordSpan(p, &res, false)
-		}
-		if p.cb != nil {
-			p.cb(res)
-		}
+		g.fail(p, errNoReply)
 		return
 	}
 	g.transmit(p)
+}
+
+// Error strings of invocations failed back to the application unanswered.
+const (
+	errNoReply = "aqua: no replica responded"
+	errEvicted = "aqua: evicted unanswered by MaxPending newer invocations"
+)
+
+// fail completes an unanswered invocation with an error Result: reads are
+// judged against the deadline like any other outcome, the span is traced,
+// and the callback fires.
+func (g *Gateway) fail(p *pendingReq, reason string) {
+	p.done = true
+	res := Result{
+		Err:          reason,
+		ResponseTime: g.ctx.Now().Sub(p.t0),
+		Selected:     p.selected,
+	}
+	if p.readOnly {
+		res.TimingFailure = g.fd.Record(res.ResponseTime)
+		if res.TimingFailure {
+			g.metrics.TimingFailures++
+		}
+		if g.obsOn {
+			g.observeReadOutcome(p, &res)
+		}
+	}
+	if g.cfg.Tracer != nil {
+		g.recordSpan(p, &res, false)
+	}
+	if p.cb != nil {
+		p.cb(res)
+	}
 }
 
 // applySuspicion zeroes the distribution functions of replicas that have
@@ -402,18 +419,26 @@ func (g *Gateway) applySuspicion(in *selection.Input, now time.Time) {
 	}
 }
 
+// track remembers p, evicting the oldest entries beyond MaxPending. An
+// evicted entry still in flight is failed back, so its callback still
+// fires; the table is consistent before that callback runs, because it may
+// invoke again.
 func (g *Gateway) track(p *pendingReq) {
 	g.pending[p.id] = p
 	g.pendingOrder = append(g.pendingOrder, p.id)
 	for len(g.pendingOrder) > g.cfg.MaxPending {
 		victimID := g.pendingOrder[0]
 		g.pendingOrder = g.pendingOrder[1:]
-		if victim, ok := g.pending[victimID]; ok {
-			victim.done = true
+		victim, ok := g.pending[victimID]
+		if !ok {
+			continue
+		}
+		delete(g.pending, victimID)
+		if !victim.done {
 			if victim.stopRetry != nil {
 				victim.stopRetry()
 			}
-			delete(g.pending, victimID)
+			g.fail(victim, errEvicted)
 		}
 	}
 }

@@ -341,6 +341,41 @@ func TestClientPendingPrune(t *testing.T) {
 	}
 }
 
+// TestClientEvictionFailsInFlightInvocation: an invocation still in flight
+// when MaxPending newer ones evict it fails back like retry exhaustion —
+// every callback fires exactly once, none is dropped silently.
+func TestClientEvictionFailsInFlightInvocation(t *testing.T) {
+	cfg := baseConfig()
+	cfg.MaxPending = 4
+	cfg.RetryInterval = 50 * ms
+	cfg.MaxRetries = 3
+	f := newFixture(14, cfg) // no replica replies
+	f.rt.Start()
+	const n = 10
+	results := make([][]Result, n)
+	for i := 0; i < n; i++ {
+		i := i
+		f.invoke("Get", []byte("a"), func(r Result) { results[i] = append(results[i], r) })
+	}
+	f.s.RunFor(2 * time.Second) // well past MaxRetries × RetryInterval
+
+	for i, rs := range results {
+		if len(rs) != 1 {
+			t.Fatalf("invocation %d: callback fired %d times, want exactly once", i, len(rs))
+		}
+		want := errNoReply
+		if i < n-cfg.MaxPending {
+			want = errEvicted
+		}
+		if rs[0].Err != want {
+			t.Fatalf("invocation %d: Err = %q, want %q", i, rs[0].Err, want)
+		}
+	}
+	if got := len(f.gw.pending); got > cfg.MaxPending {
+		t.Fatalf("pending grew to %d, cap %d", got, cfg.MaxPending)
+	}
+}
+
 func TestClientUnknownReplyIgnored(t *testing.T) {
 	f := newFixture(11, baseConfig())
 	f.rt.Start()

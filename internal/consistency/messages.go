@@ -11,8 +11,9 @@
 // same change: a new field extends the matching encode/decode pair (old
 // peers reject the frame rather than misread it), a new message gets a new
 // tag appended to the table, and anything incompatible bumps WireVersion.
-// The codec-vs-gob differential test in tcpnet catches a struct and codec
-// that have drifted apart.
+// tcpnet's TestWireCodecDifferential, which checks the codec against
+// encoding/gob as a reference, catches a struct and codec that have
+// drifted apart.
 package consistency
 
 import (

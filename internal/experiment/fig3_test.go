@@ -64,12 +64,17 @@ func TestRunFig3GridSize(t *testing.T) {
 }
 
 func TestFig3OverheadGrowsWithWindow(t *testing.T) {
-	small := RunFig3Point(8, 5, 200, 1)
-	large := RunFig3Point(8, 20, 200, 1)
 	// The paper's observation: bigger windows cost more (more data points
-	// in the convolution).
-	if large.Overhead <= small.Overhead {
-		t.Fatalf("window 20 (%v) not costlier than window 5 (%v)", large.Overhead, small.Overhead)
+	// in the convolution). Wall-clock timings share the host with other
+	// test processes, so compare the fastest of a few interleaved runs:
+	// preemption only ever adds time.
+	small, large := time.Duration(1<<62), time.Duration(1<<62)
+	for i := 0; i < 5; i++ {
+		small = min(small, RunFig3Point(8, 5, 200, 1).Overhead)
+		large = min(large, RunFig3Point(8, 20, 200, 1).Overhead)
+	}
+	if large <= small {
+		t.Fatalf("window 20 (%v) not costlier than window 5 (%v)", large, small)
 	}
 }
 

@@ -334,7 +334,7 @@ func WriteLoadmaxTable(w io.Writer, pair LoadmaxPair) {
 		pair.SpeedupUpdates, pair.SpeedupRate)
 }
 
-// WriteLoadmaxJSON writes the pair as indented JSON (BENCH_loadmax.json).
+// WriteLoadmaxJSON writes the pair as indented JSON (aquabench -loadmax-json).
 func WriteLoadmaxJSON(w io.Writer, pair LoadmaxPair) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

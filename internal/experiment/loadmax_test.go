@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -82,36 +80,5 @@ func TestLoadmaxParallelismDeterminism(t *testing.T) {
 		if got := render(par); !bytes.Equal(got, one) {
 			t.Fatalf("loadmax output diverged between parallelism 1 and %d", par)
 		}
-	}
-}
-
-// BENCH_loadmax.json at the repo root is the committed artifact of the full
-// ramp (scripts/bench.sh regenerates it). Guard its shape and the headline
-// claim: batched GSN assignment sustains at least 3x the baseline's peak
-// updates/sec in the same run.
-func TestBenchLoadmaxJSONWellFormed(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_loadmax.json")
-	if err != nil {
-		t.Skipf("BENCH_loadmax.json not present: %v", err)
-	}
-	var doc struct {
-		Experiment string `json:"experiment"`
-		LoadmaxPair
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_loadmax.json is not valid JSON: %v", err)
-	}
-	if doc.Experiment != "loadmax" {
-		t.Fatalf("experiment = %q, want loadmax", doc.Experiment)
-	}
-	if len(doc.Baseline.Points) == 0 || len(doc.Batched.Points) == 0 {
-		t.Fatal("missing ramp points")
-	}
-	if doc.Baseline.PeakUpdatesPerSec <= 0 || doc.Batched.PeakUpdatesPerSec <= 0 {
-		t.Fatalf("non-positive peaks: baseline %.0f, batched %.0f",
-			doc.Baseline.PeakUpdatesPerSec, doc.Batched.PeakUpdatesPerSec)
-	}
-	if doc.SpeedupUpdates < 3 {
-		t.Fatalf("speedup_updates = %.2f, want >= 3", doc.SpeedupUpdates)
 	}
 }

@@ -320,7 +320,7 @@ func WriteShardmaxTable(w io.Writer, rep ShardmaxReport) {
 	}
 }
 
-// WriteShardmaxJSON writes the report as indented JSON (BENCH_shardmax.json).
+// WriteShardmaxJSON writes the report as indented JSON (aquabench -shardmax-json).
 func WriteShardmaxJSON(w io.Writer, rep ShardmaxReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -261,49 +259,5 @@ func TestShardmaxParallelismDeterminism(t *testing.T) {
 	one := render(1)
 	if got := render(4); !bytes.Equal(got, one) {
 		t.Fatal("shardmax output diverged between parallelism 1 and 4")
-	}
-}
-
-// BENCH_shardmax.json at the repo root is the committed artifact of the full
-// sweep (scripts/bench.sh regenerates it). Guard its shape and the headline
-// claim: 4 shards sustain at least 2.5x the 1-shard peak updates/sec under
-// the same batching config.
-func TestBenchShardmaxJSONWellFormed(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_shardmax.json")
-	if err != nil {
-		t.Skipf("BENCH_shardmax.json not present: %v", err)
-	}
-	var doc struct {
-		Experiment string `json:"experiment"`
-		ShardmaxReport
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_shardmax.json is not valid JSON: %v", err)
-	}
-	if doc.Experiment != "shardmax" {
-		t.Fatalf("experiment = %q, want shardmax", doc.Experiment)
-	}
-	var one, four *ShardmaxResult
-	for i := range doc.Results {
-		res := &doc.Results[i]
-		if len(res.Points) == 0 {
-			t.Fatalf("%d-shard ramp has no points", res.Shards)
-		}
-		switch res.Shards {
-		case 1:
-			one = res
-		case 4:
-			four = res
-		}
-	}
-	if one == nil || four == nil {
-		t.Fatal("missing the 1-shard or 4-shard ramp")
-	}
-	if one.PeakUpdatesPerSec <= 0 || four.PeakUpdatesPerSec <= 0 {
-		t.Fatalf("non-positive peaks: 1-shard %.0f, 4-shard %.0f",
-			one.PeakUpdatesPerSec, four.PeakUpdatesPerSec)
-	}
-	if four.SpeedupUpdates < 2.5 {
-		t.Fatalf("speedup_updates = %.2f at 4 shards, want >= 2.5", four.SpeedupUpdates)
 	}
 }

@@ -11,17 +11,15 @@ import (
 
 // TestLiveTimerCancelReleasesPromptly is the SetTimer leak regression test:
 // cancelling a timer must release the underlying time.AfterFunc immediately
-// (observable through ActiveTimers), not hold it — plus a stop channel and
-// closures — until the original deadline like the old implementation did.
+// (observable through ActiveTimers), not hold it until the original
+// deadline.
 func TestLiveTimerCancelReleasesPromptly(t *testing.T) {
 	rt := NewRuntime()
 	const churn = 1000
 	done := make(chan struct{})
 	rt.Register("a", &node.FuncNode{
 		OnInit: func(ctx node.Context) {
-			// Arm far-future timers and cancel them right away. With the
-			// old implementation every one of these stayed armed in the Go
-			// runtime (and kept its stop channel alive) for the full hour.
+			// Arm far-future timers and cancel them right away.
 			for i := 0; i < churn; i++ {
 				cancel := ctx.SetTimer(time.Hour, func() {
 					t.Error("cancelled timer fired")
@@ -154,44 +152,6 @@ func TestLiveBatcher(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if aGot.Load() != 300 {
 		t.Fatal("batch delivered to stopped node")
-	}
-}
-
-// TestLiveLegacyHotPathParity runs the exact message/timer scenarios of the
-// optimized runtime under WithLegacyHotPath, pinning that the baseline mode
-// livemax measures against still behaves correctly.
-func TestLiveLegacyHotPathParity(t *testing.T) {
-	rt := NewRuntime(WithLegacyHotPath())
-	var got atomic.Int64
-	var order []int
-	var fired, cancelled atomic.Bool
-	rt.Register("a", &node.FuncNode{
-		OnInit: func(ctx node.Context) {
-			for i := 0; i < 50; i++ {
-				ctx.Send("b", i)
-			}
-			ctx.SetTimer(5*time.Millisecond, func() { fired.Store(true) })
-			c := ctx.SetTimer(time.Hour, func() { cancelled.Store(true) })
-			c()
-			ctx.Post(time.Millisecond, func() { ctx.Send("b", 50) })
-		},
-	})
-	rt.Register("b", &node.FuncNode{
-		OnRecv: func(from node.ID, m node.Message) {
-			order = append(order, m.(int))
-			got.Add(1)
-		},
-	})
-	rt.Start()
-	defer rt.Stop()
-	waitFor(t, func() bool { return got.Load() == 51 && fired.Load() }, "legacy deliveries+timer")
-	for i, v := range order[:50] {
-		if v != i {
-			t.Fatalf("legacy delivery reordered: %v", order)
-		}
-	}
-	if cancelled.Load() {
-		t.Fatal("legacy cancelled timer fired")
 	}
 }
 

@@ -9,9 +9,7 @@
 // destination through a copy-on-write map (no global lock per message),
 // each mailbox is a chunked ring drained in batches with one consumer
 // wakeup per empty→non-empty transition, and SetTimer is a small CAS state
-// machine that releases its runtime timer promptly on cancel. The
-// WithLegacyHotPath option restores the original mutex+slice mailbox and
-// channel-based timers so benchmarks can measure both in one run.
+// machine that releases its runtime timer promptly on cancel.
 package live
 
 import (
@@ -41,8 +39,7 @@ type Runtime struct {
 	remote  atomic.Value // remoteBox
 	started bool
 	stopped bool
-	legacy  bool
-	timers  atomic.Int64 // armed cancellable timers (SetTimer, non-legacy)
+	timers  atomic.Int64 // armed cancellable timers (SetTimer)
 }
 
 // remoteBox wraps RemoteSender so atomic.Value never sees inconsistently
@@ -65,14 +62,6 @@ func WithLog(w io.Writer) Option {
 // WithRemote installs the forwarding hook for unknown destinations.
 func WithRemote(rs RemoteSender) Option {
 	return func(r *Runtime) { r.remote.Store(remoteBox{fn: rs}) }
-}
-
-// WithLegacyHotPath restores the pre-optimization mailbox (mutex+slice,
-// one wakeup per enqueue) and SetTimer (sync.Once + stop channel per
-// timer). It exists so the livemax benchmark can measure the old and new
-// hot paths in the same run; nothing else should use it.
-func WithLegacyHotPath() Option {
-	return func(r *Runtime) { r.legacy = true }
 }
 
 // NewRuntime creates an empty live runtime.
@@ -199,7 +188,7 @@ func (r *Runtime) Local(id node.ID) bool {
 
 // ActiveTimers reports the number of armed cancellable timers created by
 // SetTimer that have neither fired nor been cancelled. It exists for leak
-// regression tests; the count is not maintained under WithLegacyHotPath.
+// regression tests.
 func (r *Runtime) ActiveTimers() int64 { return r.timers.Load() }
 
 func (r *Runtime) route(from, to node.ID, m node.Message) {
@@ -224,7 +213,7 @@ func (r *Runtime) logf(format string, args ...interface{}) {
 }
 
 // envelope is one mailbox entry: a message, a fire-and-forget callback
-// (Post, legacy timers), or a cancellable timer.
+// (Post), or a cancellable timer.
 type envelope struct {
 	from  node.ID
 	msg   node.Message
@@ -239,35 +228,21 @@ type liveNode struct {
 	n    node.Node
 	rand *rand.Rand
 
-	mb   *mailbox // nil under the legacy hot path
+	mb   *mailbox
 	done chan struct{}
-
-	// Legacy (pre-optimization) mailbox, kept verbatim so livemax can
-	// benchmark against it in the same run.
-	legacy    bool
-	legacyMu  sync.Mutex
-	legacyQ   []envelope
-	ready     chan struct{} // capacity 1: per-enqueue wakeup signal
-	legacyOff bool          // legacy stopped flag
 }
 
 var _ node.Context = (*liveNode)(nil)
 
 func newLiveNode(rt *Runtime, id node.ID, n node.Node, rng *rand.Rand) *liveNode {
-	l := &liveNode{
+	return &liveNode{
 		rt:   rt,
 		id:   id,
 		n:    n,
 		rand: rng,
+		mb:   newMailbox(),
 		done: make(chan struct{}),
 	}
-	if rt.legacy {
-		l.legacy = true
-		l.ready = make(chan struct{}, 1)
-	} else {
-		l.mb = newMailbox()
-	}
-	return l
 }
 
 func (l *liveNode) start() {
@@ -277,10 +252,6 @@ func (l *liveNode) start() {
 func (l *liveNode) run() {
 	defer close(l.done)
 	l.n.Init(l)
-	if l.legacy {
-		l.runLegacy()
-		return
-	}
 	var spare *mchunk
 	for {
 		chain, ok := l.mb.take(spare)
@@ -322,49 +293,9 @@ func dropChain(chain *mchunk) {
 	}
 }
 
-func (l *liveNode) runLegacy() {
-	for {
-		l.legacyMu.Lock()
-		for len(l.legacyQ) == 0 && !l.legacyOff {
-			l.legacyMu.Unlock()
-			<-l.ready
-			l.legacyMu.Lock()
-		}
-		if l.legacyOff {
-			l.legacyMu.Unlock()
-			return
-		}
-		batch := l.legacyQ
-		l.legacyQ = nil
-		l.legacyMu.Unlock()
-
-		for _, env := range batch {
-			if env.timer != nil {
-				env.timer()
-				continue
-			}
-			l.n.Recv(env.from, env.msg)
-		}
-	}
-}
-
 // enqueue appends to the unbounded mailbox; unbounded so that two nodes
 // flooding each other can never deadlock.
 func (l *liveNode) enqueue(env envelope) {
-	if l.legacy {
-		l.legacyMu.Lock()
-		if l.legacyOff {
-			l.legacyMu.Unlock()
-			return
-		}
-		l.legacyQ = append(l.legacyQ, env)
-		l.legacyMu.Unlock()
-		select {
-		case l.ready <- struct{}{}:
-		default:
-		}
-		return
-	}
 	if !l.mb.put(env) && env.t != nil {
 		env.t.drop()
 	}
@@ -373,27 +304,10 @@ func (l *liveNode) enqueue(env envelope) {
 // enqueueBatch delivers a batch of message envelopes under one lock with at
 // most one wakeup (see Batcher).
 func (l *liveNode) enqueueBatch(envs []envelope) {
-	if l.legacy {
-		for i := range envs {
-			l.enqueue(envs[i])
-		}
-		return
-	}
 	l.mb.putBatch(envs)
 }
 
 func (l *liveNode) stop() {
-	if l.legacy {
-		l.legacyMu.Lock()
-		l.legacyOff = true
-		l.legacyMu.Unlock()
-		select {
-		case l.ready <- struct{}{}:
-		default:
-		}
-		<-l.done
-		return
-	}
 	l.mb.stop()
 	<-l.done
 }
@@ -422,8 +336,7 @@ func (l *liveNode) Send(to node.ID, m node.Message) {
 // Exactly one transition into state 2 happens, and every path into it
 // releases the runtime's ActiveTimers count once. Cancel stops the
 // underlying time.Timer immediately, so cancelled timers release their Go
-// runtime slot promptly instead of holding it (plus a stop channel and two
-// closures) until expiry like the old implementation.
+// runtime slot promptly instead of holding it until expiry.
 type liveTimer struct {
 	l     *liveNode
 	f     func()
@@ -472,9 +385,6 @@ func (t *liveTimer) cancel() {
 // SetTimer implements node.Context: f runs in this node's mailbox, never
 // concurrently with Recv.
 func (l *liveNode) SetTimer(d time.Duration, f func()) node.CancelFunc {
-	if l.legacy {
-		return l.setTimerLegacy(d, f)
-	}
 	t := &liveTimer{l: l, f: f}
 	l.rt.timers.Add(1)
 	t.t = time.AfterFunc(d, func() {
@@ -486,34 +396,6 @@ func (l *liveNode) SetTimer(d time.Duration, f func()) node.CancelFunc {
 		}
 	})
 	return t.cancel
-}
-
-// setTimerLegacy is the pre-optimization SetTimer: a sync.Once, a stop
-// channel, and two closures per timer, with cancelled timers holding their
-// time.AfterFunc slot until expiry. Kept for same-run baselines.
-func (l *liveNode) setTimerLegacy(d time.Duration, f func()) node.CancelFunc {
-	var canceled sync.Once
-	stop := make(chan struct{})
-	timer := time.AfterFunc(d, func() {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		l.enqueue(envelope{timer: func() {
-			select {
-			case <-stop:
-			default:
-				f()
-			}
-		}})
-	})
-	return func() {
-		canceled.Do(func() {
-			close(stop)
-			timer.Stop()
-		})
-	}
 }
 
 // Post implements node.Context: SetTimer without the cancel machinery.

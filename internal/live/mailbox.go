@@ -25,9 +25,8 @@ type mchunk struct {
 // mailbox is the low-contention batched-drain queue behind each live node.
 // Producers append under one short lock; the consumer detaches the entire
 // chunk chain in one critical section and is woken at most once per
-// empty→non-empty transition (the sleeping flag), not once per message like
-// the old capacity-1 ready channel. It is unbounded so that two nodes
-// flooding each other can never deadlock, exactly like the old slice queue.
+// empty→non-empty transition (the sleeping flag), not once per message. It
+// is unbounded so that two nodes flooding each other can never deadlock.
 type mailbox struct {
 	mu       sync.Mutex
 	head     *mchunk

@@ -19,8 +19,8 @@ import (
 type ID string
 
 // Message is any value exchanged between nodes. Concrete message types are
-// plain structs; the live TCP transport additionally requires them to be
-// gob-encodable and registered with tcpnet.Register.
+// plain structs; the live TCP transport additionally needs a wire tag and
+// an encode/decode case for each one (internal/tcpnet/wire.go).
 type Message interface{}
 
 // CancelFunc cancels a pending timer. Calling it after the timer fired, or

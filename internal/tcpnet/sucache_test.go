@@ -9,40 +9,43 @@ import (
 	"aqua/internal/node"
 )
 
-func frameVia(t *testing.T, encode func([]byte, node.ID, node.ID, node.Message) ([]byte, error),
-	from, to node.ID, m node.Message) []byte {
-	t.Helper()
-	b, err := encode(nil, from, to, m)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	return b
-}
-
-// TestAppendFrameCachedByteIdentical: the cached encoder must be invisible
-// on the wire — every frame it emits is byte-for-byte what AppendFrame
+// TestAppendFrameVecByteIdentical: the fan-out encode cache must be
+// invisible on the wire — for every frame, the header appendFrameVec writes
+// followed by the cached body it returns is byte-for-byte what AppendFrame
 // would have produced, across cache hits, misses, and non-cacheable frames.
-func TestAppendFrameCachedByteIdentical(t *testing.T) {
+func TestAppendFrameVecByteIdentical(t *testing.T) {
 	tr := &Transport{}
 	rid := consistency.RequestID{Client: "c00", Seq: 7}
 	su := consistency.StateUpdate{CSN: 41, Snapshot: []byte("snap-a"),
 		RecentIDs: []consistency.RequestID{rid}}
 	su2 := consistency.StateUpdate{CSN: 42, Snapshot: []byte("snap-b"), RecentIDs: nil}
-	msgs := []node.Message{
-		group.DataMsg{SrcEpoch: 1, Gen: 2, Seq: 3, Payload: su},
-		group.DataMsg{SrcEpoch: 1, Gen: 2, Seq: 4, Payload: su},  // cache hit
-		group.DataMsg{SrcEpoch: 2, Gen: 1, Seq: 1, Payload: su2}, // cache replace
-		group.DataMsg{SrcEpoch: 2, Gen: 1, Seq: 2, Payload: su2},
-		group.DataMsg{SrcEpoch: 1, Gen: 1, Seq: 5,
-			Payload: consistency.Request{ID: rid, Method: "Set", Payload: []byte("x")}},
-		consistency.StateUpdate{CSN: 9, Snapshot: []byte("bare")}, // not wrapped: fallback path
-		group.AckMsg{SrcEpoch: 1, DstEpoch: 1, Gen: 1, Expected: 2},
+	cases := []struct {
+		m       node.Message
+		spliced bool // body returned separately for the vectored write
+	}{
+		{group.DataMsg{SrcEpoch: 1, Gen: 2, Seq: 3, Payload: su}, true},
+		{group.DataMsg{SrcEpoch: 1, Gen: 2, Seq: 4, Payload: su}, true},  // cache hit
+		{group.DataMsg{SrcEpoch: 2, Gen: 1, Seq: 1, Payload: su2}, true}, // cache replace
+		{&group.DataMsg{SrcEpoch: 2, Gen: 1, Seq: 2, Payload: &su2}, true},
+		{group.DataMsg{SrcEpoch: 1, Gen: 1, Seq: 5,
+			Payload: consistency.Request{ID: rid, Method: "Set", Payload: []byte("x")}}, false},
+		{consistency.StateUpdate{CSN: 9, Snapshot: []byte("bare")}, false}, // not wrapped
+		{group.AckMsg{SrcEpoch: 1, DstEpoch: 1, Gen: 1, Expected: 2}, false},
 	}
-	for i, m := range msgs {
-		want := frameVia(t, AppendFrame, "p00", "s01", m)
-		got := frameVia(t, tr.appendFrameCached, "p00", "s01", m)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("msg %d: cached frame differs from AppendFrame\n got %x\nwant %x", i, got, want)
+	for i, c := range cases {
+		want, err := AppendFrame(nil, "p00", "s01", c.m)
+		if err != nil {
+			t.Fatalf("case %d: AppendFrame: %v", i, err)
+		}
+		head, body, err := tr.appendFrameVec(nil, "p00", "s01", c.m)
+		if err != nil {
+			t.Fatalf("case %d: appendFrameVec: %v", i, err)
+		}
+		if (body != nil) != c.spliced {
+			t.Fatalf("case %d: spliced body = %v, want spliced=%v", i, body != nil, c.spliced)
+		}
+		if got := append(head, body...); !bytes.Equal(got, want) {
+			t.Fatalf("case %d: head+body differs from AppendFrame\n got %x\nwant %x", i, got, want)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package tcpnet carries node messages between processes over TCP — the
 // real-network transport for the live runtime. Frames travel in a
-// length-prefixed binary wire format (see wire.go and DESIGN.md §9), not
-// gob: one hand-written encoder/decoder per registered protocol message,
-// so the hot path does no reflection and the steady-state encode performs
-// zero heap allocations per frame.
+// length-prefixed binary wire format (see wire.go and DESIGN.md §9): one
+// hand-written encoder/decoder per protocol message, so the hot path does
+// no reflection and the steady-state encode performs zero heap allocations
+// per frame.
 //
 // One Transport per process: it listens for inbound frames and injects
 // them into the local live.Runtime, and its Send method plugs into
@@ -20,61 +20,16 @@
 package tcpnet
 
 import (
-	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
-	"aqua/internal/consistency"
-	"aqua/internal/group"
 	"aqua/internal/live"
 	"aqua/internal/node"
 	"aqua/internal/obs"
 )
-
-// Frame is the wire unit: addressed, self-contained. The binary codec in
-// wire.go flattens it as version|From|To|tagged-payload; the struct (and
-// the gob registrations below) remain for programs that decode recorded
-// traffic themselves and for the codec-vs-gob differential tests.
-type Frame struct {
-	From    node.ID
-	To      node.ID
-	Payload node.Message
-}
-
-var registerOnce sync.Once
-
-// RegisterProtocolTypes registers every protocol message with gob. The live
-// transport itself no longer speaks gob, but the registrations keep
-// recorded-traffic tooling and the differential tests working. It is
-// idempotent and called automatically by New.
-func RegisterProtocolTypes() {
-	registerOnce.Do(func() {
-		gob.Register(group.DataMsg{})
-		gob.Register(group.AckMsg{})
-		gob.Register(group.HeartbeatMsg{})
-		gob.Register(consistency.Request{})
-		gob.Register(consistency.Reply{})
-		gob.Register(consistency.GSNAssign{})
-		gob.Register(consistency.GSNRequest{})
-		gob.Register(consistency.BodyRequest{})
-		gob.Register(consistency.SyncRequest{})
-		gob.Register(consistency.GSNQuery{})
-		gob.Register(consistency.GSNReport{})
-		gob.Register(consistency.StateUpdate{})
-		gob.Register(consistency.PerfBroadcast{})
-		gob.Register(consistency.SequencerAnnounce{})
-		gob.Register(consistency.DigestAnnounce{})
-		gob.Register(consistency.GSNAssignBatch{})
-		gob.Register(consistency.ShardMapAnnounce{})
-		gob.Register(consistency.AssignAck{})
-		gob.Register(consistency.OrderCommit{})
-	})
-}
 
 // Dial retry policy: a missing peer at startup (processes come up in
 // arbitrary order) gets a few quick retries with doubling backoff; after
@@ -109,8 +64,6 @@ type Transport struct {
 	ins      instruments
 	queueCap int
 
-	legacyIn bool // pre-optimization inbound path (benchmark baseline)
-
 	mu      sync.Mutex
 	peers   map[node.ID]string // node -> address
 	writers map[string]*peerWriter
@@ -138,21 +91,11 @@ func WithSendQueue(n int) Option {
 	}
 }
 
-// WithLegacyInbound restores the pre-optimization inbound path (buffered
-// copies, per-frame decode allocations, one runtime injection per frame)
-// and disables the writer's vectored flush. It exists so the livemax
-// benchmark can measure the old and new transport hot paths in the same
-// run; nothing else should use it.
-func WithLegacyInbound() Option {
-	return func(t *Transport) { t.legacyIn = true }
-}
-
 // New starts a transport listening on listenAddr (e.g. ":7100" or
 // "127.0.0.1:0"). peers maps every remote node ID to the address of the
 // process hosting it; local IDs need no entry. Pass the returned
 // Transport's Send to live.WithRemote.
 func New(rt *live.Runtime, listenAddr string, peers map[node.ID]string, opts ...Option) (*Transport, error) {
-	RegisterProtocolTypes()
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet listen: %w", err)
@@ -199,20 +142,6 @@ func (t *Transport) Instrument(reg *obs.Registry) {
 		queueDepth:   reg.Gauge("tcpnet_send_queue_depth"),
 		flushBatch:   reg.Histogram("tcpnet_flush_batch_size", obs.DepthBuckets()),
 	}
-}
-
-// countingReader tees byte totals into a counter; a nil counter costs one
-// no-op method call per read. (Outbound bytes are counted at flush time in
-// the writer, where the whole batch is one length-known write.)
-type countingReader struct {
-	r io.Reader
-	c *obs.Counter
-}
-
-func (cr countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.c.Add(uint64(n))
-	return n, err
 }
 
 // AddPeer maps (or remaps) a node ID to an address.
@@ -349,10 +278,6 @@ func (t *Transport) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	if t.legacyIn {
-		t.readFramesLegacy(conn)
-		return
-	}
 	t.readFrames(conn)
 }
 
@@ -417,37 +342,5 @@ func (t *Transport) readFrames(conn net.Conn) {
 		if err != nil {
 			return
 		}
-	}
-}
-
-// readFramesLegacy is the pre-optimization inbound path — buffered reads,
-// one copying decode and one runtime injection per frame — kept verbatim so
-// livemax can benchmark against it in the same run (WithLegacyInbound).
-func (t *Transport) readFramesLegacy(conn net.Conn) {
-	br := bufio.NewReaderSize(countingReader{r: conn, c: t.ins.bytesRecv}, 64<<10)
-	var lenBuf [4]byte
-	var body []byte
-	var dec FrameDecoder // per-connection string intern cache
-	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxFrameBytes {
-			return
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return
-		}
-		from, to, m, err := dec.Decode(body)
-		if err != nil {
-			return
-		}
-		t.ins.messagesRecv.Inc()
-		t.rt.Inject(from, to, m)
 	}
 }

@@ -2,7 +2,9 @@ package tcpnet
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,7 +181,7 @@ func counterValue(t *testing.T, reg *obs.Registry, name string) uint64 {
 }
 
 // TestTCPConcurrentSendersFraming hammers one connection from many
-// goroutines at once: every frame must arrive intact (gob frames from
+// goroutines at once: every frame must arrive intact (frames from
 // concurrent Sends must never interleave on the wire) and the traffic
 // counters must account for each one exactly once.
 func TestTCPConcurrentSendersFraming(t *testing.T) {
@@ -243,6 +245,76 @@ func TestTCPConcurrentSendersFraming(t *testing.T) {
 	}
 	if counterValue(t, reg, "tcpnet_bytes_sent_total") == 0 {
 		t.Fatal("bytesSent = 0, want > 0")
+	}
+}
+
+// TestTCPLargeFramesAcrossSlabs drives the inbound reader past its slab:
+// a 1 MiB StateUpdate (the size of the qos-reads lazy snapshot, four times
+// readSlab) fanned out to two peers through the writer's vectored splice,
+// interleaved with Requests sized so frames straddle slab boundaries — one
+// just under readSlab, which fits only a fresh slab — forcing the reader to
+// carry partial tails into fresh slabs. Every frame must arrive intact and
+// in order at both peers.
+func TestTCPLargeFramesAcrossSlabs(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	su := consistency.StateUpdate{CSN: 9, Snapshot: randBytes(rng, 1<<20),
+		RecentIDs: []consistency.RequestID{{Client: "c00", Seq: 4}}}
+	var script []node.Message
+	for round := 0; round < 3; round++ {
+		for _, n := range []int{16, readSlab - 64, 100 << 10, 1, 200 << 10, readMinFree} {
+			script = append(script, consistency.Request{
+				ID:     consistency.RequestID{Client: "a", Seq: uint64(len(script))},
+				Method: "Set", Payload: randBytes(rng, n),
+			})
+		}
+		// The same value for both peers: the second encode is a cache hit
+		// and both writers splice the one cached body.
+		script = append(script, group.DataMsg{Seq: uint64(round), Payload: su})
+	}
+
+	trA, err := New(live.NewRuntime(), "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trA.Close()
+	var mu sync.Mutex
+	got := map[node.ID][]node.Message{}
+	for _, id := range []node.ID{"b", "c"} {
+		id := id
+		rt := live.NewRuntime()
+		tr, err := New(rt, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		rt.Register(id, &node.FuncNode{OnRecv: func(_ node.ID, m node.Message) {
+			mu.Lock()
+			got[id] = append(got[id], Flatten(m))
+			mu.Unlock()
+		}})
+		rt.Start()
+		defer rt.Stop()
+		trA.AddPeer(id, tr.Addr())
+	}
+
+	for _, m := range script {
+		trA.Send("a", "b", m)
+		trA.Send("a", "c", m)
+	}
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got["b"]) == len(script) && len(got["c"]) == len(script)
+	}, "every frame at both peers")
+	mu.Lock()
+	defer mu.Unlock()
+	for id, msgs := range got {
+		for i, m := range msgs {
+			if !reflect.DeepEqual(m, script[i]) {
+				t.Fatalf("%s: frame %d arrived as %T, not the %T sent at that position (or corrupted)",
+					id, i, m, script[i])
+			}
+		}
 	}
 }
 

@@ -149,53 +149,14 @@ func (c *stateUpdateCache) encoded(su consistency.StateUpdate) []byte {
 	return b
 }
 
-// appendFrameCached is AppendFrame with the fan-out encode cache spliced
-// in: a DataMsg carrying a StateUpdate reuses the cached payload encoding
-// when the same snapshot was just encoded for another peer. Byte output is
-// identical to AppendFrame's.
-func (t *Transport) appendFrameCached(buf []byte, from, to node.ID, m node.Message) ([]byte, error) {
-	dm, ok := m.(group.DataMsg)
-	if !ok {
-		if p, isPtr := m.(*group.DataMsg); isPtr {
-			dm = *p
-		} else {
-			return AppendFrame(buf, from, to, m)
-		}
-	}
-	su, ok := dm.Payload.(consistency.StateUpdate)
-	if !ok {
-		if p, isPtr := dm.Payload.(*consistency.StateUpdate); isPtr {
-			su = *p
-		} else {
-			return AppendFrame(buf, from, to, m)
-		}
-	}
-	body := t.suCache.encoded(su)
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = append(buf, WireVersion)
-	buf = appendString(buf, string(from))
-	buf = appendString(buf, string(to))
-	buf = append(buf, tagDataMsg)
-	buf = appendUvarint(buf, dm.SrcEpoch)
-	buf = appendUvarint(buf, dm.Gen)
-	buf = appendUvarint(buf, dm.Seq)
-	buf = append(buf, body...)
-	n := len(buf) - start - 4
-	if n > maxFrameBytes {
-		return buf[:start], errFrameSize
-	}
-	binary.BigEndian.PutUint32(buf[start:], uint32(n))
-	return buf, nil
-}
-
-// appendFrameVec is appendFrameCached for the vectored flush: a DataMsg
-// carrying a StateUpdate appends only the frame header (length prefix
-// covering header+body, addressing, DataMsg fields) to buf and returns the
-// cached payload encoding separately, so the writer can splice it into a
-// net.Buffers write instead of copying it per peer. Every other message
-// appends fully with cached == nil. Wire bytes are identical to
-// AppendFrame's.
+// appendFrameVec is AppendFrame with the fan-out encode cache spliced in,
+// shaped for the writer's vectored flush: a DataMsg carrying a StateUpdate
+// appends only the frame header (length prefix covering header+body,
+// addressing, DataMsg fields) to buf and returns the cached payload
+// encoding separately, so the writer can splice it into a net.Buffers write
+// instead of copying it per peer. Every other message appends fully with
+// cached == nil. Header followed by cached is byte-identical to
+// AppendFrame's output.
 func (t *Transport) appendFrameVec(buf []byte, from, to node.ID, m node.Message) (out, cached []byte, err error) {
 	dm, ok := m.(group.DataMsg)
 	if !ok {

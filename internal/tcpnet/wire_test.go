@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -231,15 +232,53 @@ func wireMessageGenerators() map[string]func(rng *rand.Rand, round int) node.Mes
 	}
 }
 
-// gobRoundTrip pushes a frame through gob — the reference codec the binary
-// wire format replaced — and returns the decoded frame.
-func gobRoundTrip(t *testing.T, f Frame) Frame {
+// gobFrame is the unit the reference codec carries: addressing plus an
+// interface-typed payload, which gob can only decode once every concrete
+// protocol message is registered (registerGobTypes).
+type gobFrame struct {
+	From    node.ID
+	To      node.ID
+	Payload node.Message
+}
+
+var registerGobOnce sync.Once
+
+// registerGobTypes registers every protocol message with gob, the reference
+// codec TestWireCodecDifferential compares the binary wire format against.
+func registerGobTypes() {
+	registerGobOnce.Do(func() {
+		gob.Register(group.DataMsg{})
+		gob.Register(group.AckMsg{})
+		gob.Register(group.HeartbeatMsg{})
+		gob.Register(consistency.Request{})
+		gob.Register(consistency.Reply{})
+		gob.Register(consistency.GSNAssign{})
+		gob.Register(consistency.GSNRequest{})
+		gob.Register(consistency.BodyRequest{})
+		gob.Register(consistency.SyncRequest{})
+		gob.Register(consistency.GSNQuery{})
+		gob.Register(consistency.GSNReport{})
+		gob.Register(consistency.StateUpdate{})
+		gob.Register(consistency.PerfBroadcast{})
+		gob.Register(consistency.SequencerAnnounce{})
+		gob.Register(consistency.DigestAnnounce{})
+		gob.Register(consistency.GSNAssignBatch{})
+		gob.Register(consistency.ShardMapAnnounce{})
+		gob.Register(consistency.AssignAck{})
+		gob.Register(consistency.OrderCommit{})
+	})
+}
+
+// gobRoundTrip pushes a frame through gob, the reference codec, and returns
+// the decoded frame.
+func gobRoundTrip(t *testing.T, f gobFrame) gobFrame {
 	t.Helper()
+	registerGobTypes()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
 		t.Fatalf("gob encode: %v", err)
 	}
-	var out Frame
+	var out gobFrame
 	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 		t.Fatalf("gob decode: %v", err)
 	}
@@ -253,7 +292,6 @@ func gobRoundTrip(t *testing.T, f Frame) Frame {
 //   - encoding is byte-stable across runs,
 //   - re-encoding a decoded frame reproduces the identical bytes.
 func TestWireCodecDifferential(t *testing.T) {
-	RegisterProtocolTypes()
 	gens := wireMessageGenerators()
 	if len(gens) != 19 {
 		t.Fatalf("generator table covers %d types, want 19 (one per wire tag)", len(gens))
@@ -283,7 +321,7 @@ func TestWireCodecDifferential(t *testing.T) {
 						round, from, to, gotFrom, gotTo)
 				}
 
-				ref := gobRoundTrip(t, Frame{From: from, To: to, Payload: m})
+				ref := gobRoundTrip(t, gobFrame{From: from, To: to, Payload: m})
 				if !reflect.DeepEqual(gotMsg, ref.Payload) {
 					t.Fatalf("round %d: wire and gob decode disagree:\nwire: %#v\ngob:  %#v",
 						round, gotMsg, ref.Payload)

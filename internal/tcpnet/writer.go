@@ -135,17 +135,10 @@ func (w *peerWriter) flush() {
 	}
 	w.buf = w.buf[:0]
 	w.splices = w.splices[:0]
-	vectored := !w.t.legacyIn
 	frames := 0
 	for i := range w.batch {
 		f := &w.batch[i]
-		var b, cached []byte
-		var err error
-		if vectored {
-			b, cached, err = w.t.appendFrameVec(w.buf, f.from, f.to, f.msg)
-		} else {
-			b, err = w.t.appendFrameCached(w.buf, f.from, f.to, f.msg)
-		}
+		b, cached, err := w.t.appendFrameVec(w.buf, f.from, f.to, f.msg)
 		if err != nil {
 			w.t.ins.drops.Inc() // unregistered type: skip, keep the rest
 			continue

@@ -155,11 +155,6 @@ type EngineConfig struct {
 	// "Set"/"x").
 	UpdateMethod string
 	UpdateKey    string
-	// UpdatePad, when positive, pads every update payload to at least this
-	// many bytes with trailing filler — the knob that gives live
-	// benchmarks realistic KV value sizes. Zero (the default) keeps the
-	// historical bare "key=<seq>" payloads, byte-identical to before.
-	UpdatePad int
 	// Staleness is the read staleness bound a (0 = sequential consistency).
 	Staleness int
 	// Deadline classifies read completions: past it they count as timing
@@ -367,7 +362,6 @@ type Engine struct {
 	stopped  bool
 	nextSeq  uint64
 	clientRR uint32 // round-robin attribution cursor over the population
-	pad      []byte // cached filler for UpdatePad
 
 	// outstanding is the per-client in-flight count — the entire state of a
 	// simulated client, which is what lets one node stand in for a million
@@ -563,19 +557,10 @@ func (e *Engine) issue() {
 	} else {
 		req.Method = e.cfg.UpdateMethod
 		// Fresh payload per update: replicas retain the body until commit.
-		buf := make([]byte, 0, max(len(key)+21, e.cfg.UpdatePad))
+		buf := make([]byte, 0, len(key)+21)
 		buf = append(buf, key...)
 		buf = append(buf, '=')
 		req.Payload = strconv.AppendUint(buf, e.nextSeq, 10)
-		if n := e.cfg.UpdatePad - len(req.Payload); n > 0 {
-			if len(e.pad) < n {
-				e.pad = make([]byte, n)
-				for i := range e.pad {
-					e.pad[i] = '.'
-				}
-			}
-			req.Payload = append(req.Payload, e.pad[:n]...)
-		}
 		e.m.Updates++
 		primaries := e.cfg.Service.Primaries
 		if sh >= 0 {
