@@ -149,27 +149,6 @@ func TestCommitBufferAdversarialDelivery(t *testing.T) {
 	}
 }
 
-// TestCommitBufferFaultReorderHook pins the behavior of the deliberate bug
-// the chaos acceptance test plants: with the hook armed, drain releases a
-// staged update across a one-GSN hole — exactly the violation the
-// sequential-consistency oracle exists to catch.
-func TestCommitBufferFaultReorderHook(t *testing.T) {
-	b := NewCommitBuffer()
-	b.EnableFaultReorder()
-	got := play(b, []op{body(2), asg(2, 2)}) // hole at 1
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("armed hook commits = %v, want [2]", got)
-	}
-	if b.MyCSN() != 2 {
-		t.Fatalf("CSN = %d, want 2 (jumped the hole)", b.MyCSN())
-	}
-	// Sanity: without the hook the same schedule stalls.
-	clean := NewCommitBuffer()
-	if got := play(clean, []op{body(2), asg(2, 2)}); got != nil {
-		t.Fatalf("clean buffer committed %v across a hole", got)
-	}
-}
-
 // TestReadBufferReDeferral models the secondary's lazy-update drain loop
 // (replica.Gateway.redefer): a deferred read whose staleness bound is still
 // violated after a state update goes back on the deferred queue with its

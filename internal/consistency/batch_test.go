@@ -200,3 +200,31 @@ func TestAddAssignBatchSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("AddAssignBatch steady state allocates %.1f per window of %d", allocs, len(ids))
 	}
 }
+
+// TestSingletonAssignAllocs guards the receive path every singleton
+// assignment takes: an update through AddAssign is wrapped as a window of
+// one on the stack, so receiving it — like receiving a window of one
+// directly, or a read snapshot — allocates nothing in steady state.
+func TestSingletonAssignAllocs(t *testing.T) {
+	b := NewCommitBuffer()
+	update, window, read := rid("w", 1), rid("w", 2), rid("r", 1)
+	gsn := uint64(0)
+	round := func() {
+		b.AddBody(Request{ID: update, Method: "Set"})
+		gsn++
+		if got := b.AddAssign(GSNAssign{ID: update, GSN: gsn, Update: true}); len(got) != 1 {
+			t.Fatalf("singleton update committed %d, want 1", len(got))
+		}
+		b.AddBody(Request{ID: window, Method: "Set"})
+		gsn++
+		if got := b.AddAssignBatch(gsn, []RequestID{window}); len(got) != 1 {
+			t.Fatalf("window of one committed %d, want 1", len(got))
+		}
+		b.AddAssign(GSNAssign{ID: read, GSN: gsn})
+	}
+	round()
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("singleton assignments allocate %.1f per round, want 0", allocs)
+	}
+}

@@ -21,12 +21,6 @@ type CommitBuffer struct {
 	// ready holds fully-paired updates keyed by GSN, awaiting their turn.
 	ready map[uint64]Request
 
-	// faultReorder, set only by EnableFaultReorder, makes drain release a
-	// staged update across a one-GSN hole — a deliberate protocol violation
-	// used to prove the chaos harness's sequential-consistency oracle
-	// detects ordering bugs rather than merely tolerating faults.
-	faultReorder bool
-
 	// Replicated GSN assignment (DESIGN.md §14) adds a release gate: when
 	// gated, drain stops at the ceiling — the highest GSN the sequencer has
 	// announced as majority-replicated (OrderCommit.Floor) — so no commit is
@@ -181,36 +175,25 @@ func (b *CommitBuffer) AddBody(req Request) []Request {
 	return nil
 }
 
-// AddAssign records a GSN assignment. It returns the requests that become
-// committable, in commit order.
+// AddAssign records a singleton GSN assignment: an update is a window of
+// one (AddAssignBatch); a read snapshot only advances my_GSN. It returns the
+// requests that become committable, in commit order.
 func (b *CommitBuffer) AddAssign(a GSNAssign) []Request {
-	b.ObserveGSN(a.GSN)
 	if !a.Update {
+		b.ObserveGSN(a.GSN)
 		return nil
 	}
-	if a.GSN <= b.myCSN {
-		// Already committed (duplicate assignment after failover).
-		delete(b.pendingBody, a.ID)
-		return nil
-	}
-	b.recordAssign(a.GSN, a.ID)
-	if req, ok := b.pendingBody[a.ID]; ok {
-		delete(b.pendingBody, a.ID)
-		return b.stage(a.GSN, req)
-	}
-	if _, dup := b.pendingGSN[a.ID]; !dup {
-		b.pendingGSN[a.ID] = a.GSN
-	}
-	return nil
+	ids := [1]RequestID{a.ID}
+	return b.AddAssignBatch(a.GSN, ids[:])
 }
 
 // AddAssignBatch folds a contiguous window of assignments (ids[i] ↦
 // first+i) into the buffer with one staging pass and at most one drain,
-// and returns the requests that become committable, in commit order. It is
-// equivalent to len(ids) AddAssign calls but touches the staged queue once:
-// under group commit a full window typically releases in a single drain
-// instead of len(ids) separate map probes ending in failure. The returned
-// slice shares the buffer's scratch array (see drain).
+// and returns the requests that become committable, in commit order. A
+// window touches the staged queue once: under group commit a full window
+// typically releases in a single drain instead of len(ids) separate map
+// probes ending in failure. The returned slice shares the buffer's scratch
+// array (see drain).
 func (b *CommitBuffer) AddAssignBatch(first uint64, ids []RequestID) []Request {
 	if len(ids) == 0 {
 		return nil
@@ -338,10 +321,6 @@ func (b *CommitBuffer) stage(gsn uint64, req Request) []Request {
 	return b.drain()
 }
 
-// EnableFaultReorder arms the deliberate commit-order bug (test hook; see
-// the faultReorder field). Production code never calls it.
-func (b *CommitBuffer) EnableFaultReorder() { b.faultReorder = true }
-
 // drain emits the commits that have become sequential. The returned slice
 // shares the buffer's scratch array and is valid only until the next
 // AddBody/AddAssign/SkipTo call.
@@ -355,16 +334,6 @@ func (b *CommitBuffer) drain() []Request {
 		}
 		req, ok := b.ready[b.myCSN+1]
 		if !ok {
-			if b.faultReorder {
-				// Injected bug: jump a one-GSN hole and release the next
-				// staged update out of order.
-				if req2, ok2 := b.ready[b.myCSN+2]; ok2 {
-					delete(b.ready, b.myCSN+2)
-					b.myCSN += 2
-					out = append(out, req2)
-					continue
-				}
-			}
 			break
 		}
 		delete(b.ready, b.myCSN+1)

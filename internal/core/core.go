@@ -55,9 +55,11 @@ type ServiceConfig struct {
 	// defaults).
 	ChaseInterval   time.Duration
 	TakeoverTimeout time.Duration
-	// AssignBatch/AssignBatchWindow enable batched GSN ordering at the
-	// sequencer (one GSNAssignBatch broadcast per window). <= 1 keeps the
-	// per-request broadcast path. See replica.Config.
+	// AssignBatch/AssignBatchWindow size the sequencer's assignment window
+	// (one GSNAssignBatch broadcast per window). <= 1 is a window of one,
+	// the paper's per-request protocol. Update chases join the window too,
+	// so with AssignBatch > 1 a chase reply can wait up to
+	// AssignBatchWindow. See replica.Config.
 	AssignBatch       int
 	AssignBatchWindow time.Duration
 	// SeqCostBase/SeqCostPerReq model the sequencer ordering pipeline's

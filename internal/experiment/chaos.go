@@ -86,14 +86,29 @@ type ChaosConfig struct {
 	ReplicatedAssign bool
 
 	// Mutate, if set, runs after deployment and before the run starts —
-	// the hook the oracle-sensitivity test uses to arm a deliberate bug on
-	// one replica.
+	// tests use it to reach the deployment's media or gateways.
 	Mutate func(d *core.Deployment)
 
-	// MutateFresh, if set, runs on every replacement gateway built for a
-	// restart, before its Init — the recovery-sensitivity test arms a
-	// planted WAL bug (drop-tail) on the incarnation that will recover.
-	MutateFresh func(id node.ID, gw *replica.Gateway)
+	// Wrap, if set, is applied to every replica node the run registers — at
+	// deploy and on every restart, before the node's Init — and the node it
+	// returns is what the runtime drives. The oracle-sensitivity tests plant
+	// their deliberate bugs through it (a node that rewrites what it
+	// receives, media cut before a recovering incarnation reads it), so no
+	// planted bug lives in production code.
+	Wrap func(id node.ID, n node.Node) node.Node
+}
+
+// wrapRuntime registers every replica gateway through ChaosConfig.Wrap.
+type wrapRuntime struct {
+	rt   core.Runtime
+	wrap func(node.ID, node.Node) node.Node
+}
+
+func (w wrapRuntime) Register(id node.ID, n node.Node) {
+	if _, ok := n.(*replica.Gateway); ok {
+		n = w.wrap(id, n)
+	}
+	w.rt.Register(id, n)
 }
 
 func (c *ChaosConfig) setDefaults() {
@@ -248,7 +263,11 @@ func RunChaosPoint(cfg ChaosConfig) ChaosResult {
 		}
 	}
 
-	d, err := core.Deploy(rt, svc, clients)
+	wrap := cfg.Wrap
+	if wrap == nil {
+		wrap = func(_ node.ID, n node.Node) node.Node { return n }
+	}
+	d, err := core.Deploy(wrapRuntime{rt: rt, wrap: wrap}, svc, clients)
 	if err != nil {
 		panic(fmt.Sprintf("experiment: chaos deploy: %v", err)) // static config bug
 	}
@@ -277,20 +296,14 @@ func RunChaosPoint(cfg ChaosConfig) ChaosResult {
 			if err != nil {
 				return nil, err
 			}
-			if cfg.MutateFresh != nil {
-				cfg.MutateFresh(id, gw)
-			}
-			return gw, nil
+			return wrap(id, gw), nil
 		},
 		FreshRecovered: func(id node.ID) (node.Node, error) {
 			gw, err := d.NewRecoveredReplicaGateway(id)
 			if err != nil {
 				return nil, err
 			}
-			if cfg.MutateFresh != nil {
-				cfg.MutateFresh(id, gw)
-			}
-			return gw, nil
+			return wrap(id, gw), nil
 		},
 		Obs: rec,
 	}

@@ -3,11 +3,13 @@ package experiment
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"aqua/internal/chaos"
-	"aqua/internal/core"
+	"aqua/internal/consistency"
+	"aqua/internal/group"
 	"aqua/internal/node"
 )
 
@@ -56,11 +58,41 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 }
 
+// swapAdjacentAssigns plants an ordering bug in one replica from outside
+// it: the first two consecutive update assignments the replica receives
+// from the sequencer arrive with their GSNs exchanged, so it applies that
+// pair in the opposite order to every other primary.
+type swapAdjacentAssigns struct {
+	node.Node
+	moved uint64 // the GSN the first assignment was moved off; 0 before it
+	done  bool
+}
+
+func (s *swapAdjacentAssigns) Recv(from node.ID, m node.Message) {
+	if dm, ok := m.(group.DataMsg); ok && !s.done {
+		// ab and dm are copies: simulator receivers share payloads, and the
+		// other primaries must still see the sequencer's true assignment.
+		if ab, ok := dm.Payload.(consistency.GSNAssignBatch); ok && len(ab.Updates) == 1 {
+			switch {
+			case s.moved == 0:
+				s.moved = ab.First
+				ab.First++
+			case ab.First == s.moved+1:
+				ab.First = s.moved
+				s.done = true
+			}
+			dm.Payload = ab
+			m = dm
+		}
+	}
+	s.Node.Recv(from, m)
+}
+
 // TestChaosOracleCatchesReorderBug proves the sequential-consistency oracle
-// has teeth: with a deliberate ordering bug armed on one serving primary
-// (the commit buffer jumps one-GSN holes) and heavy jitter on its
-// assignment link to force out-of-order arrivals, the oracle must flag the
-// run. A harness that cannot catch a planted bug proves nothing when it
+// has teeth: with one serving primary wrapped so that two adjacent update
+// assignments reach it with their GSNs swapped, the oracle must report the
+// order divergence — while the same run without the swap passes every
+// oracle. A harness that cannot catch a planted bug proves nothing when it
 // passes.
 func TestChaosOracleCatchesReorderBug(t *testing.T) {
 	if testing.Short() {
@@ -68,36 +100,28 @@ func TestChaosOracleCatchesReorderBug(t *testing.T) {
 	}
 	cfg := ChaosConfig{
 		Seed:         7,
-		Clients:      4, // more concurrent updates -> more adjacent assignments to reorder
+		Clients:      4,
 		Requests:     80,
 		RequestDelay: 20 * time.Millisecond,
-		Schedule: chaos.Schedule{
-			// The group links are per-sender FIFO, so reordering one sender's
-			// stream is impossible; holes form when one client's update BODY
-			// lags behind the sequencer's assignments. Delaying c02 -> p01 far
-			// beyond the inter-update gap keeps p01's commit buffer holding a
-			// paired later update above a missing body — the armed bug's
-			// trigger.
-			{At: 0, Action: chaos.ActLink, From: "c02", To: "p01",
-				Fault: chaos.LinkFault{ExtraDelay: 60 * time.Millisecond, Jitter: 40 * time.Millisecond}},
-		},
-		Mutate: func(d *core.Deployment) {
-			d.Replicas["p01"].EnableCommitReorderFault()
-		},
+	}
+	requireCleanReport(t, "without the swap", RunChaosPoint(cfg).Report)
+
+	cfg.Wrap = func(id node.ID, n node.Node) node.Node {
+		if id == "p01" {
+			return &swapAdjacentAssigns{Node: n}
+		}
+		return n
 	}
 	res := RunChaosPoint(cfg)
-	if res.Report.OK() {
-		t.Fatalf("oracles passed a run with a planted commit-reorder bug (%d events, %d requests)",
-			res.Events, res.Requests)
-	}
 	seq := res.Report.Verdicts[0]
 	if seq.Invariant != "sequential-consistency" {
 		t.Fatalf("verdict order changed: got %q first", seq.Invariant)
 	}
-	if seq.OK() {
+	if seq.OK() || !strings.Contains(strings.Join(seq.Violations, "\n"), "(order divergence)") {
 		var buf bytes.Buffer
 		res.Report.Write(&buf)
-		t.Fatalf("planted ordering bug was not caught by the sequential-consistency oracle:\n%s", buf.Bytes())
+		t.Fatalf("swapped assignments were not reported as an order divergence (%d events, %d requests):\n%s",
+			res.Events, res.Requests, buf.Bytes())
 	}
 }
 

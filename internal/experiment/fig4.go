@@ -74,14 +74,13 @@ type Fig4Config struct {
 	Crash   string
 	CrashAt time.Duration
 
-	// AssignBatch threads the sequencer's GSN batching knob through to the
-	// deployment. Values <= 1 keep the legacy per-request assignment path;
-	// the batching acceptance test pins AssignBatch=1 byte-identical to 0
-	// across the sweep, so the knob's mere presence cannot perturb the
-	// paper figures.
+	// AssignBatch threads the sequencer's assignment window size through to
+	// the deployment. Values <= 1 are a window of one — the paper's
+	// per-request protocol, which TestFig4BatchKnobByteIdentical pins to a
+	// golden render of the paper tables.
 	AssignBatch int
-	// AssignBatchWindow bounds how long a batch may wait (only meaningful
-	// with AssignBatch > 1).
+	// AssignBatchWindow bounds how long a batch may wait (a window of one
+	// never waits).
 	AssignBatchWindow time.Duration
 
 	// Durable equips every replica with the WAL + snapshot store. The

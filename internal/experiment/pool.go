@@ -66,8 +66,8 @@ func RunPoints[C, R any](points []C, parallel int, progress func(done, total int
 	}
 	var (
 		next   atomic.Int64 // next point index to claim
-		done   atomic.Int64
 		progMu sync.Mutex
+		done   int // guarded by progMu, so progress sees it ascend
 		wg     sync.WaitGroup
 	)
 	wg.Add(parallel)
@@ -80,10 +80,10 @@ func RunPoints[C, R any](points []C, parallel int, progress func(done, total int
 					return
 				}
 				out[i] = fn(points[i])
-				d := int(done.Add(1))
 				if progress != nil {
 					progMu.Lock()
-					progress(d, total)
+					done++
+					progress(done, total)
 					progMu.Unlock()
 				}
 			}

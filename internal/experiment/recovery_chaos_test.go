@@ -222,12 +222,12 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 					tear.victim, tear.media = d.Replicas["p02"], d.Media.Get("p02")
 					tear.media.FailAfter(tearAt)
 				}
-				c.MutateFresh = func(id node.ID, _ *replica.Gateway) {
-					if id != "p02" {
-						return
+				c.Wrap = func(id node.ID, n node.Node) node.Node {
+					if id != "p02" || tear.victim == nil {
+						return n // deploy: Mutate has not run yet
 					}
 					if tear.restarts++; tear.restarts > 1 {
-						return
+						return n
 					}
 					// First restart: what did the tear leave behind?
 					tear.media.FailAfter(-1) // the replacement gets a working disk
@@ -236,6 +236,7 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 					tear.torn = err == nil && rec.Torn
 					exposed := tear.victim.DurableStore()
 					tear.prefix = int(rec.CSN - exposed.Frontier())
+					return n
 				}
 			},
 			verify: func(t *testing.T) {
@@ -365,10 +366,29 @@ func TestRecoveryChaosSweepParallelismInvariant(t *testing.T) {
 	}
 }
 
+// cutLastRecords returns log without its last n whole records.
+func cutLastRecords(t *testing.T, log []byte, n int) []byte {
+	t.Helper()
+	var ends []int
+	for off := 0; off < len(log); {
+		_, k, err := wal.DecodeRecord(log[off:])
+		if err != nil {
+			break
+		}
+		off += k
+		ends = append(ends, off)
+	}
+	if len(ends) <= n {
+		t.Fatalf("log holds %d records, cannot cut %d", len(ends), n)
+	}
+	return log[:ends[len(ends)-1-n]]
+}
+
 // TestRecoveryOracleCatchesDropTail proves the recovery-frontier oracle
-// can actually fail: a planted WAL bug silently drops the last records of
-// the log during replay, so the replica recovers below its pre-crash
-// frontier — exactly the durable-history loss the oracle exists to flag.
+// can actually fail: the last records of p01's log are cut from its media
+// while it is down, so it recovers below its pre-crash frontier — exactly
+// the durable-history loss the oracle exists to flag. The same run with its
+// log left whole passes every oracle.
 func TestRecoveryOracleCatchesDropTail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full chaos run in -short mode")
@@ -383,11 +403,19 @@ func TestRecoveryOracleCatchesDropTail(t *testing.T) {
 			{At: 2 * time.Second, Action: chaos.ActCrash, Target: "p01"},
 			{At: 2500 * time.Millisecond, Action: chaos.ActRestartRecover, Target: "p01"},
 		},
-		MutateFresh: func(id node.ID, gw *replica.Gateway) {
-			if id == "p01" {
-				gw.DurableStore().EnableDropTailFault(3)
-			}
-		},
+	}
+	requireCleanReport(t, "with the log whole", RunChaosPoint(cfg).Report)
+
+	var media *wal.Registry
+	cfg.Mutate = func(d *core.Deployment) { media = d.Media }
+	cfg.Wrap = func(id node.ID, n node.Node) node.Node {
+		// Wrap also runs at deploy, before Mutate captured the media: only
+		// the restart, ahead of the recovering incarnation's Init, cuts.
+		if id == "p01" && media != nil {
+			m := media.Get(id)
+			m.SetLog(cutLastRecords(t, m.Log(), 3))
+		}
+		return n
 	}
 	res := RunChaosPoint(cfg)
 	if res.Recovered["p01"] == 0 {

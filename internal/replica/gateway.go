@@ -58,16 +58,17 @@ type Config struct {
 	// replica assumes it missed history (e.g. it restarted) and requests a
 	// state snapshot from the sequencer; 0 selects a default of 32.
 	RecoveryGap int
-	// AssignBatch, when > 1, enables batched GSN ordering at the sequencer:
-	// requests accumulate into a window of at most AssignBatch and are
-	// assigned and broadcast as one GSNAssignBatch. Values <= 1 select the
-	// original per-request GSNAssign broadcast path, byte-identical to the
-	// pre-batching protocol.
+	// AssignBatch bounds the sequencer's assignment window: requests
+	// accumulate into a window of at most AssignBatch and are assigned and
+	// broadcast as one GSNAssignBatch. Values <= 1 are a window of one,
+	// flushed as each request arrives — the paper's per-request broadcast.
+	// An update chase (GSNRequest) joins the window like a request, so with
+	// AssignBatch > 1 its reply can wait up to AssignBatchWindow.
 	AssignBatch int
 	// AssignBatchWindow bounds how long a non-full assignment window
 	// accumulates before flushing. 0 flushes at the end of the current
-	// virtual instant (coalescing only same-instant arrivals). Only
-	// meaningful when AssignBatch > 1.
+	// virtual instant (coalescing only same-instant arrivals). A window of
+	// one never waits.
 	AssignBatchWindow time.Duration
 	// SeqCostBase and SeqCostPerReq model the sequencer's ordering-pipeline
 	// occupancy: each assignment broadcast holds the pipeline for
@@ -172,9 +173,9 @@ type Gateway struct {
 	takeoverDone     node.CancelFunc
 	heldRequests     []heldRequest
 
-	// Batched-assignment state (sequencer role, AssignBatch > 1): the
-	// accumulating window, its flush timer, and the scratch that filters
-	// memoized duplicates out of a flush.
+	// Assignment-window state (sequencer role): the accumulating window, its
+	// flush timer, and the scratch that filters memoized duplicates out of a
+	// flush.
 	batchUpdates    []consistency.RequestID
 	batchReads      []consistency.RequestID
 	batchFresh      []consistency.RequestID
@@ -426,19 +427,14 @@ func (g *Gateway) FastServed() uint64 { return g.fastServed }
 
 // AssignBatchStats returns the sequencer role's flush count and the total
 // requests those flushes covered; their ratio is the realized mean batch
-// size. Zero on replicas that never sequenced with batching enabled.
+// size (1 with a window of one). Update chases join the window, so they
+// count as requests too. Zero on replicas that never sequenced.
 func (g *Gateway) AssignBatchStats() (flushes, requests uint64) {
 	return g.assignFlushes, g.assignFlushedReqs
 }
 
 // App exposes the application instance (tests verify replica state).
 func (g *Gateway) App() app.Application { return g.cfg.App }
-
-// EnableCommitReorderFault arms the deliberate commit-ordering bug in this
-// replica's commit buffer — a test hook proving the chaos harness's
-// sequential-consistency oracle detects (not merely tolerates) protocol
-// violations. Production code never calls it.
-func (g *Gateway) EnableCommitReorderFault() { g.commit.EnableFaultReorder() }
 
 func sortedFirst(ids []node.ID) node.ID {
 	if len(ids) == 0 {

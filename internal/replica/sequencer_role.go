@@ -207,53 +207,18 @@ func (g *Gateway) livePrimaryPeers() []node.ID {
 }
 
 // sequence performs the sequencer's part of request processing
-// (Sections 4.1.1 and 4.1.2).
+// (Sections 4.1.1 and 4.1.2): every request joins the assignment window.
 func (g *Gateway) sequence(from node.ID, req consistency.Request) {
 	if !g.seqReady {
 		g.heldRequests = append(g.heldRequests, heldRequest{from: from, req: req})
 		return
 	}
-	if g.cfg.AssignBatch > 1 {
-		g.batchRequest(req)
-		return
-	}
-	// Fold any GSN evidence the commit stream has seen (assignments from a
-	// previous sequencer era) into the counter before using it: assigning a
-	// number the group already committed would be dropped as a duplicate.
-	g.seqState.Resume(g.commit.MyGSN())
-	if req.ReadOnly {
-		// Broadcast the current GSN, without advancing it, to the primary
-		// and secondary replicas.
-		g.ins.readSnapshots.Inc()
-		gsn := g.seqState.SnapshotRead(req.ID)
-		assign := consistency.GSNAssign{ID: req.ID, GSN: gsn}
-		if d := g.pipelineDelay(1); d > 0 {
-			g.ctx.Post(d, func() { g.broadcastReadAssign(assign) })
-			return
-		}
-		g.broadcastReadAssign(assign)
-		return
-	}
-	// Advance the GSN and broadcast the assignment to the other primaries.
-	// A retransmission of a request some previous sequencer already
-	// numbered keeps its original GSN: re-sequencing would let replicas
-	// apply it at different positions.
-	gsn, seen := g.observedAssigns[req.ID]
-	if !seen {
-		gsn = g.seqState.AssignUpdate(req.ID)
-		g.ins.gsnAssigned.Inc()
-	}
-	assign := consistency.GSNAssign{ID: req.ID, GSN: gsn, Update: true}
-	if d := g.pipelineDelay(1); d > 0 {
-		g.ctx.Post(d, func() { g.broadcastUpdateAssign(assign) })
-		return
-	}
-	g.broadcastUpdateAssign(assign)
+	g.batchRequest(req)
 }
 
-// broadcastReadAssign sends a read-snapshot assignment to every replica and
-// feeds the local read pipeline (needed when this node also serves as the
-// lone surviving primary; otherwise a bounded memo).
+// broadcastReadAssign sends a singleton read-snapshot assignment to every
+// replica and feeds the local read pipeline (needed when this node also
+// serves as the lone surviving primary; otherwise a bounded memo).
 func (g *Gateway) broadcastReadAssign(a consistency.GSNAssign) {
 	for _, id := range g.replicaTargets() {
 		g.stack.Send(id, a)
@@ -261,10 +226,10 @@ func (g *Gateway) broadcastReadAssign(a consistency.GSNAssign) {
 	g.onAssign(a)
 }
 
-// broadcastUpdateAssign sends an update assignment to the other primaries.
-// The sequencer also tracks commits locally (it never replies, but its
-// state must stay current so a later takeover by another member — or a
-// failback — never regresses, and so its own GSNReports are accurate).
+// broadcastUpdateAssign sends a singleton update assignment to the other
+// primaries. The sequencer also tracks commits locally (it never replies,
+// but its state must stay current so a later takeover by another member —
+// or a failback — never regresses, and so its own GSNReports are accurate).
 func (g *Gateway) broadcastUpdateAssign(a consistency.GSNAssign) {
 	for _, id := range g.otherPrimaries() {
 		g.stack.Send(id, a)
@@ -292,6 +257,9 @@ func (g *Gateway) pipelineDelay(n int) time.Duration {
 
 // batchRequest adds a request to the accumulating assignment window,
 // flushing a full window immediately and arming the window timer otherwise.
+// With AssignBatch <= 1 every window is full at one request, so each one
+// is assigned and broadcast the instant it arrives — the paper's
+// per-request protocol.
 func (g *Gateway) batchRequest(req consistency.Request) {
 	if req.ReadOnly {
 		g.batchReads = append(g.batchReads, req.ID)
@@ -310,9 +278,10 @@ func (g *Gateway) batchRequest(req consistency.Request) {
 
 // flushAssignBatch assigns the pending window and broadcasts it as one
 // GSNAssignBatch: a contiguous GSN range for the fresh updates, one shared
-// snapshot at the post-update frontier for the reads. Requests the memo
-// already numbered (retransmissions, chase re-issues) are re-broadcast as
-// singleton GSNAssigns so they keep their original positions.
+// snapshot at the post-update frontier for the reads. Requests some
+// sequencer already numbered (retransmissions, chase re-issues) are
+// re-broadcast as singleton GSNAssigns so they keep their original
+// positions: re-sequencing would let replicas apply them at different GSNs.
 func (g *Gateway) flushAssignBatch() {
 	if len(g.batchUpdates)+len(g.batchReads) == 0 {
 		return
@@ -372,33 +341,36 @@ func (g *Gateway) flushAssignBatch() {
 		ReadGSN: frontier,
 		Reads:   reads,
 	}
-	send := func() {
-		if len(batch.Updates) > 0 || len(batch.Reads) > 0 {
-			// Windows carrying read snapshots go to every replica (the
-			// secondaries need ReadGSN); update-only windows concern the
-			// primary group alone, matching the singleton routing.
-			targets := g.otherPrimaries()
-			if len(batch.Reads) > 0 {
-				targets = g.replicaTargets()
-			}
-			for _, id := range targets {
-				g.stack.Send(id, batch)
-			}
-			g.onAssignBatch(batch)
-		}
-		for _, a := range dups {
-			if a.Update {
-				g.broadcastUpdateAssign(a)
-			} else {
-				g.broadcastReadAssign(a)
-			}
-		}
-	}
 	if d := g.pipelineDelay(n); d > 0 {
-		g.ctx.Post(d, send)
+		g.ctx.Post(d, func() { g.sendAssignWindow(batch, dups) })
 		return
 	}
-	send()
+	g.sendAssignWindow(batch, dups)
+}
+
+// sendAssignWindow broadcasts a flushed window, then the re-issued numbers
+// as singletons. Windows carrying read snapshots go to every replica (the
+// secondaries need ReadGSN); update-only windows concern the primary group
+// alone, matching the singleton routing.
+func (g *Gateway) sendAssignWindow(batch consistency.GSNAssignBatch, dups []consistency.GSNAssign) {
+	if len(batch.Updates) > 0 || len(batch.Reads) > 0 {
+		targets := g.otherPrimaries()
+		if len(batch.Reads) > 0 {
+			targets = g.replicaTargets()
+		}
+		var msg node.Message = batch // boxed once for every target
+		for _, id := range targets {
+			g.stack.Send(id, msg)
+		}
+		g.onAssignBatch(batch)
+	}
+	for _, a := range dups {
+		if a.Update {
+			g.broadcastUpdateAssign(a)
+		} else {
+			g.broadcastReadAssign(a)
+		}
+	}
 }
 
 // onGSNRequest services a chase: a replica holds a request whose assignment
@@ -422,17 +394,10 @@ func (g *Gateway) onGSNRequest(from node.ID, r consistency.GSNRequest) {
 	// assignments: without the cost accounting they would bypass the model
 	// entirely, and an overloaded sequencer would answer chases faster than
 	// it assigns — recovery traffic outrunning the pipeline it is chasing.
+	// An update chase simply joins the assignment window; its flush re-issues
+	// any number the group already holds and broadcasts it to every primary.
 	if r.Update {
-		gsn, seen := g.observedAssigns[r.ID]
-		if !seen {
-			gsn = g.seqState.AssignUpdate(r.ID)
-		}
-		assign := consistency.GSNAssign{ID: r.ID, GSN: gsn, Update: true}
-		if d := g.pipelineDelay(1); d > 0 {
-			g.ctx.Post(d, func() { g.broadcastUpdateAssign(assign) })
-			return
-		}
-		g.broadcastUpdateAssign(assign)
+		g.batchRequest(consistency.Request{ID: r.ID})
 		return
 	}
 	gsn := g.seqState.SnapshotRead(r.ID)

@@ -68,27 +68,21 @@ func (g *Gateway) onRequest(from node.ID, req consistency.Request) {
 	g.enqueueCommits(g.commit.AddBody(req))
 }
 
-// onAssign handles a GSN broadcast from the sequencer.
+// onAssign handles a singleton GSN assignment (a memoized re-issue or a
+// read-chase reply) as a window of one.
 func (g *Gateway) onAssign(a consistency.GSNAssign) {
+	ids := [1]consistency.RequestID{a.ID}
 	if a.Update {
-		if !g.cfg.Primary {
-			return // secondaries learn update effects only via lazy updates
-		}
-		g.observeAssign(a.ID, a.GSN)
-		g.enqueueCommits(g.commit.AddAssign(a))
-		g.maybeAckAssigns()
+		g.onAssignBatch(consistency.GSNAssignBatch{First: a.GSN, Updates: ids[:]})
 		return
 	}
-	g.commit.ObserveGSN(a.GSN)
-	if pr, ready := g.reads.AddAssign(a.ID, a.GSN); ready {
-		g.readReady(pr)
-	}
+	g.onAssignBatch(consistency.GSNAssignBatch{ReadGSN: a.GSN, Reads: ids[:]})
 }
 
-// onAssignBatch handles a batched assignment window: the update range folds
-// into the commit buffer in one group-commit pass, and every read in the
-// window observes the shared frontier snapshot. Semantically identical to
-// delivering the equivalent singleton GSNAssigns in order.
+// onAssignBatch handles an assignment window from the sequencer: the update
+// range folds into the commit buffer in one group-commit pass, and every
+// read in the window observes the shared frontier snapshot. Secondaries
+// ignore the updates: they learn update effects only via lazy updates.
 func (g *Gateway) onAssignBatch(ab consistency.GSNAssignBatch) {
 	if g.cfg.Primary && len(ab.Updates) > 0 {
 		for i, id := range ab.Updates {
@@ -292,18 +286,19 @@ func (g *Gateway) releaseCommitWaiters() {
 // canFastServe gates the frontier fast path: the read's snapshot GSN is
 // already committed locally (a frontier hit, not merely within the client's
 // staleness bound), the single-server queue is idle with no simulated
-// service delay to draw, the read was never deferred, and no tracer wants a
-// span. Under those conditions serving inline is indistinguishable from a
-// zero-delay pass through the queue — minus the job staging.
+// service delay to draw, and the read was never deferred. Under those
+// conditions serving inline is indistinguishable from a zero-delay pass
+// through the queue — minus the job staging.
 func (g *Gateway) canFastServe(pr consistency.PendingRead) bool {
-	return g.cfg.FastReads && g.cfg.ServiceDelay == nil && g.cfg.Tracer == nil &&
+	return g.cfg.FastReads && g.cfg.ServiceDelay == nil &&
 		!g.busy && len(g.queue) == 0 &&
 		pr.GSN <= g.commit.MyCSN() && pr.DeferredAt.IsZero()
 }
 
 // serveReadFast answers a frontier read inline: no job allocation, no queue
 // pass, no deferred-read machinery — the application read and the reply
-// are all that remains.
+// are all that remains. A tracer gets the same serve_read span a zero-delay
+// queue pass would have recorded.
 func (g *Gateway) serveReadFast(pr consistency.PendingRead) {
 	tq := g.ctx.Now().Sub(pr.ArrivedAt)
 	if tq < 0 {
@@ -326,6 +321,10 @@ func (g *Gateway) serveReadFast(pr consistency.PendingRead) {
 	})
 	g.publishPerf(0, tq, 0)
 	g.ins.serviceTimeHist.Observe(0)
+	if g.cfg.Tracer != nil {
+		j := job{kind: jobRead, req: pr.Req, gsn: pr.GSN}
+		g.recordServeSpan(&j, 0, float64(tq)/1e6)
+	}
 }
 
 func (g *Gateway) enqueueRead(pr consistency.PendingRead) {

@@ -43,12 +43,6 @@ type Store struct {
 	appends     uint64
 	appendBytes uint64
 	snapshots   uint64
-
-	// dropTail, when > 0, silently discards that many records from the end
-	// of the log during Recover — a deliberate durability bug used to prove
-	// the recovery-frontier oracle can actually fail. Production code never
-	// sets it.
-	dropTail int
 }
 
 // NewStore wraps a media. Nothing is read until Recover.
@@ -142,19 +136,6 @@ func (s *Store) Recover() (Recovered, error) {
 	})
 	out.Torn = torn
 	out.TailBytes = len(log) - valid
-	if s.dropTail > 0 {
-		// Injected bug: lose the tail and pretend recovery was complete.
-		n := len(out.Records) - s.dropTail
-		if n < 0 {
-			n = 0
-		}
-		out.Records = out.Records[:n]
-		if n := len(out.Records); n > 0 {
-			next = out.Records[n-1].GSN
-		} else {
-			next = out.Snapshot.CSN
-		}
-	}
 	out.CSN = next
 	// Commits released during replay subsume their table entries.
 	if len(out.Assigns) > 0 {
@@ -327,13 +308,6 @@ func (s *Store) LogBytes() int { return s.logBytes }
 func (s *Store) Stats() (appends, appendBytes, snapshots, syncs uint64) {
 	return s.appends, s.appendBytes, s.snapshots, s.media.Syncs()
 }
-
-// EnableDropTailFault arms the deliberate recovery bug: Recover silently
-// discards the last n log records, reporting a frontier below what the
-// media can prove. The recovery-frontier oracle must catch the resulting
-// regression — the planted-bug test that keeps the oracle honest.
-// Production code never calls it.
-func (s *Store) EnableDropTailFault(n int) { s.dropTail = n }
 
 // errOr returns err when non-nil, fallback otherwise.
 func errOr(err, fallback error) error {

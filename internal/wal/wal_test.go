@@ -554,26 +554,6 @@ func TestStoreSnapshotCellCorruption(t *testing.T) {
 	}
 }
 
-func TestStoreDropTailFault(t *testing.T) {
-	m := NewMemMedia()
-	s := NewStore(m)
-	for g := uint64(1); g <= 6; g++ {
-		r := rec(g)
-		if err := s.AppendCommits([]Record{r}); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	s2 := NewStore(m)
-	s2.EnableDropTailFault(2)
-	got, err := s2.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if got.CSN != 4 || len(got.Records) != 4 {
-		t.Fatalf("drop-tail fault recovered csn=%d records=%d, want 4/4", got.CSN, len(got.Records))
-	}
-}
-
 func TestRegistrySurvivesAndWipes(t *testing.T) {
 	reg := NewRegistry()
 	m := reg.Get("p01")
