@@ -8,8 +8,8 @@
 //	aquabench -experiment fig3|fig4a|fig4b|lui|reqdelay|baselines|hotspot|failover|all
 //	aquabench -experiment fig4a -requests 200   # faster, noisier
 //	aquabench -experiment chaos -chaos-runs 8 -faults crash,partition,link,seqkill
-//	aquabench -experiment loadmax -loadmax-json loadmax.json
-//	aquabench -experiment shardmax -shards 1,2,4 -shardmax-json shardmax.json
+//	aquabench -experiment loadmax -json loadmax.json
+//	aquabench -experiment shardmax -shards 1,2,4 -json shardmax.json
 //	aquabench -experiment shardchaos -chaos-runs 4
 package main
 
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -30,21 +31,19 @@ import (
 
 func main() {
 	var (
-		which        = flag.String("experiment", "all", "experiment id: fig3, fig4a, fig4b, lui, reqdelay, baselines, hotspot, failover, calibration, groupsplit, window, estimator, scalability, loss, arrivals, chaos, loadmax, shardmax, shardchaos, all")
-		requests     = flag.Int("requests", 1000, "requests per client per run (paper: 1000)")
-		seed         = flag.Int64("seed", 2002, "base random seed")
-		iters        = flag.Int("iters", 2000, "iterations per fig3 measurement point")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = sequential; output is identical either way)")
-		progress     = flag.Bool("progress", true, "report per-point sweep progress on stderr")
-		obsPath      = flag.String("obs", "", "write an aggregated Prometheus-text metrics snapshot of all runs to this file")
-		tracePath    = flag.String("trace", "", "stream per-request JSONL trace spans (run-labelled) to this file")
-		faults       = flag.String("faults", "crash,partition,link,seqkill", "chaos fault kinds to inject (comma list of crash, partition, link, seqkill)")
-		chaosRuns    = flag.Int("chaos-runs", 4, "number of seeded chaos runs (seeds seed..seed+n-1)")
-		loadmaxJSON  = flag.String("loadmax-json", "", "also write the loadmax result as JSON to this file")
-		loadmaxQuick = flag.Bool("loadmax-quick", false, "shrink the loadmax ramp for smoke runs (shorter steps, lower top rate)")
-		shards       = flag.String("shards", "", "shard counts for the shardmax ramp, comma list (default 1,2,4)")
-		shardmaxJSON = flag.String("shardmax-json", "", "also write the shardmax report as JSON to this file")
-		shardmaxQk   = flag.Bool("shardmax-quick", false, "shrink the shardmax ramp for smoke runs (fewer clients, shorter steps)")
+		which     = flag.String("experiment", "all", "experiment id: fig3, fig4a, fig4b, lui, reqdelay, baselines, hotspot, failover, calibration, groupsplit, window, estimator, scalability, loss, arrivals, chaos, loadmax, shardmax, shardchaos, all")
+		requests  = flag.Int("requests", 1000, "requests per client per run (paper: 1000)")
+		seed      = flag.Int64("seed", 2002, "base random seed")
+		iters     = flag.Int("iters", 2000, "iterations per fig3 measurement point")
+		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = sequential; output is identical either way)")
+		progress  = flag.Bool("progress", true, "report per-point sweep progress on stderr")
+		obsPath   = flag.String("obs", "", "write an aggregated Prometheus-text metrics snapshot of all runs to this file")
+		tracePath = flag.String("trace", "", "stream per-request JSONL trace spans (run-labelled) to this file")
+		faults    = flag.String("faults", "crash,partition,link,seqkill", "chaos fault kinds to inject (comma list of crash, partition, link, seqkill)")
+		chaosRuns = flag.Int("chaos-runs", 4, "number of seeded chaos runs (seeds seed..seed+n-1)")
+		jsonPath  = flag.String("json", "", "also write the loadmax/shardmax report as JSON to this file")
+		quick     = flag.Bool("quick", false, "shrink the loadmax/shardmax ramp for smoke runs (fewer rates, shorter steps)")
+		shards    = flag.String("shards", "", "shard counts for the shardmax ramp, comma list (default 1,2,4)")
 	)
 	flag.Parse()
 
@@ -55,7 +54,7 @@ func main() {
 		})
 	}
 
-	if err := run(*which, *requests, *seed, *iters, *obsPath, *tracePath, *faults, *chaosRuns, *loadmaxJSON, *loadmaxQuick, *shards, *shardmaxJSON, *shardmaxQk); err != nil {
+	if err := run(*which, *requests, *seed, *iters, *obsPath, *tracePath, *faults, *chaosRuns, *jsonPath, *quick, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(1)
 	}
@@ -111,35 +110,22 @@ func runChaos(out *os.File, requests int, seed int64, faultSpec string, runs int
 	return nil
 }
 
-// runLoadmax executes the heavy-traffic ramp (baseline vs batched in one
-// sweep), prints the table, and optionally writes the JSON artifact.
-func runLoadmax(out *os.File, seed int64, jsonPath string, quick bool) error {
-	cfg := experiment.LoadmaxConfig{Seed: seed}
-	if quick {
-		cfg.Clients = 2000
-		cfg.Rates = []float64{1000, 4000, 16000}
-		cfg.Warmup = 200 * time.Millisecond
-		cfg.StepDuration = 500 * time.Millisecond
-	}
-	pair := experiment.RunLoadmaxPair(cfg)
-	experiment.WriteLoadmaxTable(out, pair)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return fmt.Errorf("-loadmax-json: %w", err)
-		}
-		defer f.Close()
-		if err := experiment.WriteLoadmaxJSON(f, pair); err != nil {
-			return fmt.Errorf("-loadmax-json: %w", err)
-		}
-	}
-	return nil
+// rampPresets maps each load-ramp experiment to its preset and the shorter
+// rate ladder -quick runs.
+var rampPresets = map[string]struct {
+	preset func(seed int64) experiment.RampConfig
+	quick  []float64
+}{
+	"loadmax":  {experiment.LoadmaxRamp, []float64{1000, 4000, 16000}},
+	"shardmax": {experiment.ShardmaxRamp, []float64{16000, 64000, 128000}},
 }
 
-// parseShards maps the -shards comma list onto shard counts for the ramp.
+// parseShards maps the -shards comma list onto ascending, distinct shard
+// counts, so the first mode — the one speedups are relative to — is the
+// smallest.
 func parseShards(spec string) ([]int, error) {
 	if spec == "" {
-		return nil, nil // ShardmaxConfig's default
+		return nil, nil // the preset's default
 	}
 	var out []int
 	for _, f := range strings.Split(spec, ",") {
@@ -149,33 +135,49 @@ func parseShards(spec string) ([]int, error) {
 		}
 		out = append(out, n)
 	}
+	slices.Sort(out)
+	for i := 1; i < len(out); i++ {
+		if out[i] == out[i-1] {
+			return nil, fmt.Errorf("shard count %d listed twice", out[i])
+		}
+	}
 	return out, nil
 }
 
-// runShardmax executes the sharded scale-out ramp, prints the table, and
-// optionally writes the JSON artifact.
-func runShardmax(out *os.File, seed int64, shardsSpec, jsonPath string, quick bool) error {
+// runRamp executes one load ramp (every mode in one sweep), prints the
+// table, and optionally writes the JSON report. -shards replaces shardmax's
+// modes with one batched mode per shard count.
+func runRamp(out *os.File, which string, seed int64, shardsSpec, jsonPath string, quick bool) error {
+	p := rampPresets[which]
+	cfg := p.preset(seed)
 	counts, err := parseShards(shardsSpec)
 	if err != nil {
 		return fmt.Errorf("-shards: %w", err)
 	}
-	cfg := experiment.ShardmaxConfig{Seed: seed, Shards: counts}
+	if counts != nil {
+		if which != "shardmax" {
+			return fmt.Errorf("-shards applies to -experiment shardmax only")
+		}
+		cfg.Modes = nil
+		for _, n := range counts {
+			cfg.Modes = append(cfg.Modes, experiment.RampMode{Shards: n, Batched: true})
+		}
+	}
 	if quick {
-		cfg.Clients = 2000
-		cfg.Rates = []float64{16000, 64000, 128000}
+		cfg.Rates = p.quick
 		cfg.Warmup = 200 * time.Millisecond
 		cfg.StepDuration = 500 * time.Millisecond
 	}
-	rep := experiment.RunShardmax(cfg)
-	experiment.WriteShardmaxTable(out, rep)
+	rep := experiment.RunRamp(cfg)
+	experiment.WriteRampTable(out, rep)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
 		if err != nil {
-			return fmt.Errorf("-shardmax-json: %w", err)
+			return fmt.Errorf("-json: %w", err)
 		}
 		defer f.Close()
-		if err := experiment.WriteShardmaxJSON(f, rep); err != nil {
-			return fmt.Errorf("-shardmax-json: %w", err)
+		if err := experiment.WriteRampJSON(f, rep); err != nil {
+			return fmt.Errorf("-json: %w", err)
 		}
 	}
 	return nil
@@ -205,7 +207,7 @@ func runShardChaos(out *os.File, seed int64, runs int) error {
 	return nil
 }
 
-func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int, loadmaxJSON string, loadmaxQuick bool, shardsSpec, shardmaxJSON string, shardmaxQuick bool) error {
+func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int, jsonPath string, quick bool, shardsSpec string) error {
 	base := experiment.Fig4Config{
 		Seed:     seed,
 		Deadline: 140 * time.Millisecond,
@@ -375,20 +377,12 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 		}
 		fmt.Fprintln(out)
 	}
-	// Loadmax is likewise excluded from "all": it is a throughput benchmark
-	// on a different (open-loop) workload, not a paper table.
-	if which == "loadmax" {
+	// The load ramps and shardchaos are likewise excluded from "all":
+	// throughput benchmarks on a different (open-loop) workload and a
+	// protocol audit, not paper tables.
+	if _, ok := rampPresets[which]; ok {
 		ran = true
-		if err := runLoadmax(out, seed, loadmaxJSON, loadmaxQuick); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	// Shardmax and shardchaos follow the same rule: a scale-out benchmark and
-	// a protocol audit, not paper tables.
-	if which == "shardmax" {
-		ran = true
-		if err := runShardmax(out, seed, shardsSpec, shardmaxJSON, shardmaxQuick); err != nil {
+		if err := runRamp(out, which, seed, shardsSpec, jsonPath, quick); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)

@@ -20,7 +20,6 @@ import (
 	"aqua/internal/obs"
 	"aqua/internal/qos"
 	"aqua/internal/selection"
-	"aqua/internal/shard"
 	"aqua/internal/sim"
 	"aqua/internal/stats"
 )
@@ -93,14 +92,6 @@ type Fig4Config struct {
 	// Durable it adds real protocol traffic (acks, release floors), so it
 	// carries no byte-identity claim.
 	ReplicatedAssign bool
-
-	// Sharded, when > 0, deploys that many keyspace shards via
-	// core.DeployShards and fronts every client with a shard.Router instead
-	// of a bare gateway. Sharded == 1 is the byte-identity pin: one shard
-	// keeps the historical node IDs and the router collapses to a
-	// pass-through, so the run must reproduce the unsharded sweep exactly
-	// (TestFig4ShardedSingleIsByteIdentical holds this).
-	Sharded int
 
 	// CountedEstimator switches the measured client to the n_L-anchored
 	// staleness estimator (abl-estimator).
@@ -193,17 +184,10 @@ type Fig4Result struct {
 	Done bool
 }
 
-// invoker is the request surface a workload driver needs — satisfied by
-// both a bare client gateway and a shard router, which is what lets the
-// same driver run unsharded and sharded points.
-type invoker interface {
-	Invoke(method string, payload []byte, cb func(client.Result))
-}
-
 // alternatingDriver issues total alternating Set/Get requests in a closed
 // loop with the given think time, recording read response times.
-func alternatingDriver(total int, thinkTime time.Duration, key string, onRead func(client.Result), onDone func()) func(node.Context, invoker) {
-	return func(ctx node.Context, gw invoker) {
+func alternatingDriver(total int, thinkTime time.Duration, key string, onRead func(client.Result), onDone func()) func(node.Context, *client.Gateway) {
+	return func(ctx node.Context, gw *client.Gateway) {
 		var issue func(k int)
 		issue = func(k int) {
 			if k >= total {
@@ -231,41 +215,6 @@ func alternatingDriver(total int, thinkTime time.Duration, key string, onRead fu
 		stagger := time.Duration(ctx.Rand().Int63n(int64(200 * time.Millisecond)))
 		ctx.Post(stagger, func() { issue(0) })
 	}
-}
-
-// gatewayDriver adapts an invoker driver to the ClientConfig signature.
-func gatewayDriver(run func(node.Context, invoker)) func(node.Context, *client.Gateway) {
-	return func(ctx node.Context, gw *client.Gateway) { run(ctx, gw) }
-}
-
-// routedClient registers a shard router plus its workload driver as one
-// runtime node — the sharded counterpart of core's driven client.
-type routedClient struct {
-	r   *shard.Router
-	run func(node.Context, invoker)
-}
-
-func (rc *routedClient) Init(ctx node.Context) {
-	rc.r.Init(ctx)
-	rc.run(ctx, rc.r)
-}
-func (rc *routedClient) Recv(from node.ID, m node.Message) { rc.r.Recv(from, m) }
-
-// routerMetrics aggregates client metrics across a router's per-shard
-// gateways.
-func routerMetrics(r *shard.Router, shards int) client.Metrics {
-	m := client.Metrics{Selections: map[node.ID]int{}}
-	for i := 0; i < shards; i++ {
-		gm := r.Gateway(i).Metrics()
-		m.Reads += gm.Reads
-		m.Updates += gm.Updates
-		m.TimingFailures += gm.TimingFailures
-		m.SelectedTotal += gm.SelectedTotal
-		for id, c := range gm.Selections {
-			m.Selections[id] += c
-		}
-	}
-	return m
 }
 
 // RunFig4Point executes one experimental point (one full run) in virtual
@@ -335,7 +284,7 @@ func RunFig4Point(cfg Fig4Config) Fig4Result {
 		WindowSize:    cfg.WindowSize,
 		Selector:      bgSelector,
 		RetryInterval: retry,
-		Driver:        gatewayDriver(run1),
+		Driver:        run1,
 	}
 	// Client 2: the measured client.
 	client2 := core.ClientConfig{
@@ -347,15 +296,12 @@ func RunFig4Point(cfg Fig4Config) Fig4Result {
 		CountedEstimator: cfg.CountedEstimator,
 		OnSelect:         cfg.OnSelect,
 		RetryInterval:    retry,
-		Driver:           gatewayDriver(run2),
+		Driver:           run2,
 	}
 
 	deployClients := []core.ClientConfig{client1, client2}
-	runs := []func(node.Context, invoker){run1, run2}
 	expectedDone := 2
 	for i := 0; i < cfg.ExtraClients; i++ {
-		run := alternatingDriver(cfg.Requests, cfg.RequestDelay,
-			fmt.Sprintf("doc%d", i+3), nil, onDone)
 		deployClients = append(deployClients, core.ClientConfig{
 			ID:            node.ID(fmt.Sprintf("c%02d", i+2)),
 			Spec:          qos.Spec{Staleness: 4, Deadline: 200 * time.Millisecond, MinProb: 0.1},
@@ -363,40 +309,14 @@ func RunFig4Point(cfg Fig4Config) Fig4Result {
 			WindowSize:    cfg.WindowSize,
 			Selector:      bgSelector,
 			RetryInterval: retry,
-			Driver:        gatewayDriver(run),
+			Driver: alternatingDriver(cfg.Requests, cfg.RequestDelay,
+				fmt.Sprintf("doc%d", i+3), nil, onDone),
 		})
-		runs = append(runs, run)
 		expectedDone++
 	}
-	var d *core.Deployment
-	var routers map[node.ID]*shard.Router
-	if cfg.Sharded > 0 {
-		// Sharded mode: the service splits into cfg.Sharded keyspace shards
-		// and every client becomes a router fronting one gateway per shard.
-		// The replicas must know the router hosts as clients (perf
-		// broadcasts, sequencer announcements) exactly as Deploy would
-		// have wired the same IDs.
-		for _, c := range deployClients {
-			svc.ExtraClients = append(svc.ExtraClients, c.ID)
-		}
-		sd, err := core.DeployShards(rt, svc, cfg.Sharded, nil)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: sharded deploy: %v", err)) // static config bug
-		}
-		routers = make(map[node.ID]*shard.Router, len(deployClients))
-		for i, c := range deployClients {
-			r := shard.New(shard.Config{Shards: sd.Infos, Client: core.ClientGatewayConfig(svc, c)})
-			routers[c.ID] = r
-			rt.Register(c.ID, &routedClient{r: r, run: runs[i]})
-		}
-		// Symbolic crash targets and drain checks resolve against shard 0.
-		d = sd.Shards[0]
-	} else {
-		var err error
-		d, err = core.Deploy(rt, svc, deployClients)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: deploy: %v", err)) // static config bug
-		}
+	d, err := core.Deploy(rt, svc, deployClients)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: deploy: %v", err)) // static config bug
 	}
 	rt.Start()
 
@@ -420,12 +340,7 @@ func RunFig4Point(cfg Fig4Config) Fig4Result {
 	s.RunFor(5 * time.Second) // drain stragglers
 	rt.ObserveInto(cfg.Obs)
 
-	var m client.Metrics
-	if routers != nil {
-		m = routerMetrics(routers["c01"], cfg.Sharded)
-	} else {
-		m = d.Clients["c01"].Metrics()
-	}
+	m := d.Clients["c01"].Metrics()
 	res := Fig4Result{
 		Deadline:       cfg.Deadline,
 		MinProb:        cfg.MinProb,

@@ -9,6 +9,7 @@ import (
 
 	"aqua/internal/chaos"
 	"aqua/internal/check"
+	"aqua/internal/client"
 	"aqua/internal/core"
 	"aqua/internal/group"
 	"aqua/internal/netsim"
@@ -461,8 +462,7 @@ func TestSeqKillOpenLoopZeroHoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := workload.NewEngine(workload.EngineConfig{
-		Service:      d.Info,
-		Clients:      200,
+		Shards:       []client.ServiceInfo{d.Info},
 		Arrivals:     workload.Poisson{Rate: 400},
 		ReadFraction: 0.5,
 		Deadline:     50 * time.Millisecond,

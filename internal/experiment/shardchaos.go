@@ -169,6 +169,19 @@ func WriteShardChaosTable(w io.Writer, cfg ShardChaosConfig, res ShardChaosResul
 		res.MoveInstalled, res.MoveValue, res.MoveOwner)
 }
 
+// routedClient registers a shard router plus its workload driver as one
+// runtime node — the sharded counterpart of core's driven client.
+type routedClient struct {
+	r   *shard.Router
+	run func(node.Context)
+}
+
+func (rc *routedClient) Init(ctx node.Context) {
+	rc.r.Init(ctx)
+	rc.run(ctx)
+}
+func (rc *routedClient) Recv(from node.ID, m node.Message) { rc.r.Recv(from, m) }
+
 // RunShardChaosPoint executes the scenario and returns per-shard verdicts.
 func RunShardChaosPoint(cfg ShardChaosConfig) ShardChaosResult {
 	cfg.setDefaults()
@@ -246,7 +259,7 @@ func RunShardChaosPoint(cfg ShardChaosConfig) ShardChaosResult {
 			totalClients++
 			r := shard.New(shard.Config{Shards: sd.Infos, Client: clientCfg(staleness)})
 			rec := recs[i]
-			drive := func(ctx node.Context, _ invoker) {
+			drive := func(ctx node.Context) {
 				var issue func(k int)
 				issue = func(k int) {
 					if k >= cfg.Requests {
@@ -284,7 +297,7 @@ func RunShardChaosPoint(cfg ShardChaosConfig) ShardChaosResult {
 	// to shard 1 while the write may still be in flight (and shard 0 is mid
 	// failover), then read back through the new owner.
 	mr := shard.New(shard.Config{Shards: sd.Infos, Client: clientCfg(0)})
-	migrate := func(ctx node.Context, _ invoker) {
+	migrate := func(ctx node.Context) {
 		ctx.SetTimer(cfg.MoveAt, func() {
 			mr.Invoke("Set", []byte(moveKey+"=moved"), nil)
 			if err := mr.Move(uint64(moveHash), uint64(moveHash)+1, 1%cfg.Shards, func(m *shard.Map) {

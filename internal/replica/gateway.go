@@ -74,9 +74,9 @@ type Config struct {
 	// occupancy: each assignment broadcast holds the pipeline for
 	// SeqCostBase + n*SeqCostPerReq (n = requests covered), and broadcasts
 	// queue behind one another. Both zero (the default) disables the model —
-	// broadcasts leave instantly, as before. The loadmax experiment enables
-	// it so saturation exists in virtual time; batching then amortizes the
-	// per-broadcast base across the window.
+	// broadcasts leave instantly, as before. The load ramp (loadmax and
+	// shardmax) enables it so saturation exists in virtual time; batching
+	// then amortizes the per-broadcast base across the window.
 	SeqCostBase   time.Duration
 	SeqCostPerReq time.Duration
 	// FastReads enables the frontier fast path: a read whose snapshot GSN
@@ -186,8 +186,8 @@ type Gateway struct {
 	// (SeqCostBase/SeqCostPerReq); zero value means idle.
 	seqBusyUntil time.Time
 
-	// Plain batching/fast-path counters (always on; tests and the loadmax
-	// experiment read them without an obs registry).
+	// Plain batching/fast-path counters (always on; tests and the load ramp
+	// read them without an obs registry).
 	assignFlushes     uint64
 	assignFlushedReqs uint64
 	fastServed        uint64

@@ -1,9 +1,10 @@
-// Open-loop load engine: one node that simulates a large client population
-// (up to ~10^6 logical clients) as lightweight per-client state instead of
-// one runtime node per client. Arrivals come from a pluggable stochastic
-// process and are issued regardless of completions — the open-loop model
-// that exposes saturation, unlike closed-loop drivers whose offered rate
-// collapses to the service rate under overload. Deadline and expiry
+// Open-loop load engine: one node that stands in for a large client
+// population by issuing its aggregate request stream, instead of one runtime
+// node per client. Arrivals come from a pluggable stochastic process and are
+// issued regardless of completions — the open-loop model that exposes
+// saturation, unlike closed-loop drivers whose offered rate collapses to the
+// service rate under overload. The engine routes every request by key over a
+// list of shards; an unsharded service is a list of one. Deadline and expiry
 // accounting per request feeds the load-ramp experiments.
 package workload
 
@@ -125,117 +126,37 @@ func (d Diurnal) Gap(r *rand.Rand, elapsed time.Duration) time.Duration {
 
 // EngineConfig describes one open-loop load engine.
 type EngineConfig struct {
-	// Service tells the engine where the replicas are; reads go to the
-	// sequencer plus serving replicas, updates to the whole primary group.
-	Service client.ServiceInfo
-	// Group tunes the substrate. The zero value gets reliable FIFO links
-	// with retransmission and no heartbeats (the client default).
-	Group group.Config
-	// Clients is the simulated population size (default 1, up to ~10^6).
-	// Arrivals are attributed round-robin, so the per-client rate is the
-	// aggregate rate divided by Clients.
-	Clients int
 	// Arrivals drives the aggregate request stream. Required.
 	Arrivals Process
-	// ArrivalCoalesce, when positive, quantizes the arrival schedule on the
-	// live runtime: consecutive inter-arrival gaps are summed until they
-	// reach this span, and that many requests are issued in one timer fire.
-	// This trades per-arrival timer precision for far fewer runtime timers
-	// at high offered rates (a real load generator's batching). Zero (the
-	// default) keeps one timer per arrival — the simulator experiments use
-	// that and are byte-identical to before this knob existed.
-	ArrivalCoalesce time.Duration
 	// ReadFraction is the probability an arrival is a read (0 = all
 	// updates, 1 = all reads).
 	ReadFraction float64
-	// ReadMethod/ReadPayload form read requests (defaults "Get"/"x").
-	ReadMethod  string
-	ReadPayload []byte
-	// UpdateMethod/UpdateKey form updates as "key=<seq>" (defaults
-	// "Set"/"x").
-	UpdateMethod string
-	UpdateKey    string
 	// Staleness is the read staleness bound a (0 = sequential consistency).
 	Staleness int
 	// Deadline classifies read completions: past it they count as timing
-	// failures (default 50ms).
+	// failures (default 50ms). A request still pending after
+	// max(8×Deadline, 1s) is written off as expired.
 	Deadline time.Duration
-	// ExpireAfter bounds how long a request may stay pending before it is
-	// written off as lost (default max(8×Deadline, 1s)). Expired reads
-	// count as timing failures.
-	ExpireAfter time.Duration
-	// MaxPending bounds tracked in-flight requests; arrivals beyond it are
-	// shed and counted (default 65536). This is the engine's backpressure
-	// valve — an open-loop generator must bound its own memory when the
-	// service saturates.
-	MaxPending int
-	// PerClientCap bounds outstanding requests per simulated client
-	// (0 = unlimited); arrivals hitting a saturated client are shed.
-	PerClientCap int
-	// MaxRequests stops the generator after that many arrivals
-	// (0 = run until the scheduler stops).
-	MaxRequests uint64
-	// FanoutReads is how many serving replicas receive each read
-	// (default 1; the sequencer always gets a copy for GSN assignment).
-	FanoutReads int
-	// ReadTargets overrides the read-serving set (default: every primary
-	// except the sequencer).
-	ReadTargets []node.ID
 
-	// Keys, when set, draws a per-request key instead of the fixed
-	// UpdateKey/ReadPayload (updates write "<key>=<seq>", reads carry the
-	// bare key). Nil keeps the historical single-key stream — and the
-	// historical rand-draw sequence, so every existing run stays
-	// byte-identical.
+	// Keys, when set, draws a per-request key (updates write
+	// "<key>=<seq>", reads carry the bare key). Nil sends every request to
+	// the single key "x" and draws no extra rand per request.
 	Keys KeyDist
-	// Shards, when non-nil, runs the engine against a sharded service: each
-	// request routes to the deployment owning its key — reads to that
-	// shard's sequencer plus its serving replicas, updates to its primary
-	// group. Service is ignored in this mode; Keys and ShardOf are
-	// required.
+	// Shards tells the engine where the replicas are, one entry per
+	// deployment; an unsharded service is a one-entry slice. Each request
+	// goes to the shard owning its key: a read to that shard's sequencer
+	// plus one serving primary (round-robin), an update to its whole
+	// primary group. Required.
 	Shards []client.ServiceInfo
 	// ShardOf maps a key to its owning shard index (e.g. shard.Map.Owner).
+	// Required with more than one shard.
 	ShardOf func(key string) int
 }
 
-func (c *EngineConfig) setDefaults() {
-	if c.Group.RetransmitInterval == 0 {
-		g := group.DefaultConfig()
-		g.HeartbeatInterval = 0
-		g.FailTimeout = 0
-		c.Group = g
-	}
-	if c.Clients <= 0 {
-		c.Clients = 1
-	}
-	if c.ReadMethod == "" {
-		c.ReadMethod = "Get"
-	}
-	if c.ReadPayload == nil {
-		c.ReadPayload = []byte("x")
-	}
-	if c.UpdateMethod == "" {
-		c.UpdateMethod = "Set"
-	}
-	if c.UpdateKey == "" {
-		c.UpdateKey = "x"
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 50 * time.Millisecond
-	}
-	if c.ExpireAfter <= 0 {
-		c.ExpireAfter = 8 * c.Deadline
-		if c.ExpireAfter < time.Second {
-			c.ExpireAfter = time.Second
-		}
-	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 1 << 16
-	}
-	if c.FanoutReads <= 0 {
-		c.FanoutReads = 1
-	}
-}
+// maxPending bounds tracked in-flight requests; arrivals beyond it are shed
+// and counted. This is the engine's backpressure valve — an open-loop
+// generator must bound its own memory when the service saturates.
+const maxPending = 1 << 16
 
 // engineBucketBoundsMS are the latency histogram bounds in milliseconds:
 // geometric from 50µs (the frontier fast path's territory) to 5s.
@@ -290,12 +211,12 @@ type EngineMetrics struct {
 	Issued  uint64 // requests actually transmitted
 	Reads   uint64
 	Updates uint64
-	Shed    uint64 // arrivals dropped by MaxPending or PerClientCap
+	Shed    uint64 // arrivals dropped at the maxPending bound
 
 	Completed   uint64
 	ReadsDone   uint64
 	UpdatesDone uint64
-	Expired     uint64 // pending past ExpireAfter, written off
+	Expired     uint64 // pending past max(8×Deadline, 1s), written off
 
 	// TimingFailures counts reads that completed past Deadline or expired.
 	TimingFailures uint64
@@ -323,19 +244,17 @@ func (m EngineMetrics) Sub(prev EngineMetrics) EngineMetrics {
 
 // engPending is one in-flight request's accounting state.
 type engPending struct {
-	t0     time.Time
-	client uint32
-	shard  int16 // owning shard index; -1 in single-service mode
-	read   bool
+	t0    time.Time
+	shard int // owning shard index
+	read  bool
 }
 
-// engShard is the engine's per-shard routing state in multi-shard mode: the
-// shard's current sequencer view and its round-robin read cursor — exactly
-// the state the single-service engine keeps once, held once per shard.
+// engShard is the engine's per-shard routing state: the shard's current
+// sequencer view and its round-robin read cursor.
 type engShard struct {
 	info        client.ServiceInfo
 	sequencer   node.ID
-	readTargets []node.ID
+	readTargets []node.ID // every primary except the sequencer
 	rr          int
 
 	issued    uint64
@@ -346,27 +265,16 @@ type engShard struct {
 // registered with the runtime like any other node (it is not deployed by
 // core.Deploy — experiments register it beside a deployed service).
 type Engine struct {
-	cfg EngineConfig
-	ctx node.Context
+	cfg         EngineConfig
+	ctx         node.Context
+	expireAfter time.Duration
 
-	stack       *group.Stack
-	sequencer   node.ID
-	readTargets []node.ID
-	rr          int // round-robin cursor over readTargets
-
-	// Multi-shard state; empty in single-service mode.
+	stack        *group.Stack
 	shards       []engShard
 	replicaShard map[node.ID]int
 
-	started  time.Time
-	stopped  bool
-	nextSeq  uint64
-	clientRR uint32 // round-robin attribution cursor over the population
-
-	// outstanding is the per-client in-flight count — the entire state of a
-	// simulated client, which is what lets one node stand in for a million
-	// of them.
-	outstanding []uint16
+	started time.Time
+	nextSeq uint64
 
 	pending map[uint64]engPending
 	order   []uint64 // pending seqs in issue order; head indexes the oldest
@@ -380,7 +288,6 @@ type Engine struct {
 	mu sync.Mutex
 	m  EngineMetrics
 
-	arrivalN  int // arrivals to issue at the next timer fire (coalescing)
 	arrivalFn func()
 	sweepFn   func()
 }
@@ -390,34 +297,33 @@ var _ node.Node = (*Engine)(nil)
 // NewEngine creates an engine; register it with the runtime under a unique
 // node ID before starting the scheduler.
 func NewEngine(cfg EngineConfig) *Engine {
-	cfg.setDefaults()
-	if cfg.Arrivals == nil {
-		panic("workload: EngineConfig.Arrivals is required")
+	if cfg.Arrivals == nil || len(cfg.Shards) == 0 {
+		panic("workload: EngineConfig.Arrivals and Shards are required")
+	}
+	if len(cfg.Shards) > 1 && cfg.ShardOf == nil {
+		panic("workload: EngineConfig.ShardOf is required with more than one shard")
+	}
+	if cfg.Deadline <= 0 {
+		cfg.Deadline = 50 * time.Millisecond
 	}
 	e := &Engine{
-		cfg:         cfg,
-		sequencer:   cfg.Service.Sequencer,
-		outstanding: make([]uint16, cfg.Clients),
-		pending:     make(map[uint64]engPending),
+		cfg:          cfg,
+		expireAfter:  max(8*cfg.Deadline, time.Second),
+		pending:      make(map[uint64]engPending),
+		replicaShard: make(map[node.ID]int),
 	}
-	if len(cfg.Shards) > 0 {
-		if cfg.Keys == nil || cfg.ShardOf == nil {
-			panic("workload: EngineConfig.Shards requires Keys and ShardOf")
-		}
-		e.replicaShard = make(map[node.ID]int)
-		for i, info := range cfg.Shards {
-			s := engShard{info: info, sequencer: info.Sequencer}
-			for _, id := range info.Primaries {
-				e.replicaShard[id] = i
-				if id != info.Sequencer {
-					s.readTargets = append(s.readTargets, id)
-				}
+	for i, info := range cfg.Shards {
+		s := engShard{info: info, sequencer: info.Sequencer}
+		for _, id := range info.Primaries {
+			e.replicaShard[id] = i
+			if id != info.Sequencer {
+				s.readTargets = append(s.readTargets, id)
 			}
-			for _, id := range info.Secondaries {
-				e.replicaShard[id] = i
-			}
-			e.shards = append(e.shards, s)
 		}
+		for _, id := range info.Secondaries {
+			e.replicaShard[id] = i
+		}
+		e.shards = append(e.shards, s)
 	}
 	return e
 }
@@ -426,19 +332,16 @@ func NewEngine(cfg EngineConfig) *Engine {
 func (e *Engine) Init(ctx node.Context) {
 	e.ctx = ctx
 	e.started = ctx.Now()
-	e.stack = group.NewStack(ctx, e.cfg.Group, e.deliver)
-	e.readTargets = e.cfg.ReadTargets
-	if e.readTargets == nil {
-		for _, id := range e.cfg.Service.Primaries {
-			if id != e.cfg.Service.Sequencer {
-				e.readTargets = append(e.readTargets, id)
-			}
-		}
-	}
+	// Reliable FIFO links with retransmission and no heartbeats: the client
+	// substrate default.
+	g := group.DefaultConfig()
+	g.HeartbeatInterval = 0
+	g.FailTimeout = 0
+	e.stack = group.NewStack(ctx, g, e.deliver)
 	e.arrivalFn = e.arrival
 	e.sweepFn = e.sweep
 	ctx.Post(e.cfg.Arrivals.Gap(ctx.Rand(), 0), e.arrivalFn)
-	ctx.Post(e.cfg.ExpireAfter/4, e.sweepFn)
+	ctx.Post(e.expireAfter/4, e.sweepFn)
 }
 
 // Recv implements node.Node. Everything of interest arrives through the
@@ -446,10 +349,6 @@ func (e *Engine) Init(ctx node.Context) {
 func (e *Engine) Recv(from node.ID, m node.Message) {
 	e.stack.Handle(from, m)
 }
-
-// Stop halts the generator: no further arrivals are issued. Pending
-// requests still complete or expire. Safe to call between scheduler runs.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Metrics returns a snapshot of the engine's accounting (value semantics —
 // diff two snapshots with Sub to scope a measurement window). Safe to call
@@ -471,45 +370,14 @@ func (e *Engine) Pending() int {
 // open loop: the schedule depends only on the arrival process, never on
 // completions.
 func (e *Engine) arrival() {
-	if e.stopped {
-		return
-	}
-	n := e.arrivalN
-	if n < 1 {
-		n = 1
-	}
 	e.mu.Lock()
-	for i := 0; i < n; i++ {
-		e.issue()
-		if e.cfg.MaxRequests > 0 && e.m.Issued+e.m.Shed >= e.cfg.MaxRequests {
-			e.mu.Unlock()
-			e.stopped = true
-			return
-		}
-	}
+	e.issue()
 	e.mu.Unlock()
-	// With coalescing off this is exactly one Gap draw and one Post per
-	// arrival, the historical schedule; with it on, gaps accumulate until
-	// the coalesce span is covered and the count carries to the next fire.
-	elapsed := e.ctx.Now().Sub(e.started)
-	gap := e.cfg.Arrivals.Gap(e.ctx.Rand(), elapsed)
-	count := 1
-	for e.cfg.ArrivalCoalesce > 0 && gap < e.cfg.ArrivalCoalesce {
-		gap += e.cfg.Arrivals.Gap(e.ctx.Rand(), elapsed)
-		count++
-	}
-	e.arrivalN = count
-	e.ctx.Post(gap, e.arrivalFn)
+	e.ctx.Post(e.cfg.Arrivals.Gap(e.ctx.Rand(), e.ctx.Now().Sub(e.started)), e.arrivalFn)
 }
 
 func (e *Engine) issue() {
-	c := e.clientRR
-	e.clientRR = (e.clientRR + 1) % uint32(len(e.outstanding))
-	if e.cfg.PerClientCap > 0 && int(e.outstanding[c]) >= e.cfg.PerClientCap {
-		e.m.Shed++
-		return
-	}
-	if len(e.pending) >= e.cfg.MaxPending {
+	if len(e.pending) >= maxPending {
 		e.m.Shed++
 		return
 	}
@@ -517,70 +385,53 @@ func (e *Engine) issue() {
 	id := consistency.RequestID{Client: e.ctx.ID(), Seq: e.nextSeq}
 	read := e.ctx.Rand().Float64() < e.cfg.ReadFraction
 
-	// Key and shard resolution: the extra rand draw happens only when Keys
-	// is configured, so the historical single-key stream is untouched.
-	key := e.cfg.UpdateKey
+	// The key draw happens only when Keys is configured, so the single-key
+	// stream's rand sequence is untouched.
+	key := "x"
 	if e.cfg.Keys != nil {
 		key = e.cfg.Keys.Key(e.ctx.Rand())
 	}
-	sh := -1
-	if len(e.shards) > 0 {
+	sh := 0
+	if e.cfg.ShardOf != nil {
 		sh = e.cfg.ShardOf(key)
-		e.shards[sh].issued++
 	}
+	s := &e.shards[sh]
+	s.issued++
 
 	req := consistency.Request{ID: id, ReadOnly: read}
 	if read {
-		req.Method = e.cfg.ReadMethod
-		req.Payload = e.cfg.ReadPayload
-		if e.cfg.Keys != nil {
-			req.Payload = []byte(key)
-		}
+		req.Method = "Get"
+		req.Payload = []byte(key)
 		req.Staleness = e.cfg.Staleness
 		e.m.Reads++
-		// The sequencer orders the read; FanoutReads serving replicas race
-		// to answer it.
-		if sh < 0 {
-			e.stack.Send(e.sequencer, req)
-			for i := 0; i < e.cfg.FanoutReads && i < len(e.readTargets); i++ {
-				e.stack.Send(e.readTargets[e.rr], req)
-				e.rr = (e.rr + 1) % len(e.readTargets)
-			}
-		} else {
-			s := &e.shards[sh]
-			e.stack.Send(s.sequencer, req)
-			for i := 0; i < e.cfg.FanoutReads && i < len(s.readTargets); i++ {
-				e.stack.Send(s.readTargets[s.rr], req)
-				s.rr = (s.rr + 1) % len(s.readTargets)
-			}
+		// The sequencer orders the read; one serving replica answers it.
+		e.stack.Send(s.sequencer, req)
+		if len(s.readTargets) > 0 {
+			e.stack.Send(s.readTargets[s.rr], req)
+			s.rr = (s.rr + 1) % len(s.readTargets)
 		}
 	} else {
-		req.Method = e.cfg.UpdateMethod
+		req.Method = "Set"
 		// Fresh payload per update: replicas retain the body until commit.
 		buf := make([]byte, 0, len(key)+21)
 		buf = append(buf, key...)
 		buf = append(buf, '=')
 		req.Payload = strconv.AppendUint(buf, e.nextSeq, 10)
 		e.m.Updates++
-		primaries := e.cfg.Service.Primaries
-		if sh >= 0 {
-			primaries = e.shards[sh].info.Primaries
-		}
-		for _, p := range primaries {
+		for _, p := range s.info.Primaries {
 			e.stack.Send(p, req)
 		}
 	}
 	e.m.Issued++
-	e.outstanding[c]++
-	e.pending[e.nextSeq] = engPending{t0: e.ctx.Now(), client: c, shard: int16(sh), read: read}
+	e.pending[e.nextSeq] = engPending{t0: e.ctx.Now(), shard: sh, read: read}
 	e.order = append(e.order, e.nextSeq)
 }
 
-// sweep expires pending requests older than ExpireAfter, walking the FIFO
+// sweep expires pending requests older than expireAfter, walking the FIFO
 // order ring from its head — entries are issued in time order, so the scan
 // stops at the first live one.
 func (e *Engine) sweep() {
-	cutoff := e.ctx.Now().Add(-e.cfg.ExpireAfter)
+	cutoff := e.ctx.Now().Add(-e.expireAfter)
 	e.mu.Lock()
 	for e.head < len(e.order) {
 		seq := e.order[e.head]
@@ -593,7 +444,6 @@ func (e *Engine) sweep() {
 			continue // completed; ring entry already stale
 		}
 		delete(e.pending, seq)
-		e.outstanding[p.client]--
 		e.m.Expired++
 		if p.read {
 			e.m.TimingFailures++
@@ -604,11 +454,8 @@ func (e *Engine) sweep() {
 		e.order = append(e.order[:0], e.order[e.head:]...)
 		e.head = 0
 	}
-	again := !e.stopped || len(e.pending) > 0
 	e.mu.Unlock()
-	if again {
-		e.ctx.Post(e.cfg.ExpireAfter/4, e.sweepFn)
-	}
+	e.ctx.Post(e.expireAfter/4, e.sweepFn)
 }
 
 func (e *Engine) deliver(from node.ID, m node.Message) {
@@ -629,21 +476,17 @@ func (e *Engine) deliver(from node.ID, m node.Message) {
 	}
 }
 
-// setSequencer records a sequencer failover. In multi-shard mode the update
-// applies to the announcing replica's shard; announcements from unknown
-// senders are ignored rather than cross-wired into another shard.
+// setSequencer records a sequencer failover in the announcing replica's
+// shard; announcements from unknown senders are ignored rather than
+// cross-wired into another shard.
 func (e *Engine) setSequencer(from node.ID, seq node.ID) {
-	if len(e.shards) == 0 {
-		e.sequencer = seq
-		return
-	}
 	if i, ok := e.replicaShard[from]; ok {
 		e.shards[i].sequencer = seq
 	}
 }
 
-// ShardCounts returns per-shard issued and completed request counts
-// (nil outside multi-shard mode) — the skew evidence for hot-shard runs.
+// ShardCounts returns per-shard issued and completed request counts — the
+// skew evidence for hot-shard runs.
 func (e *Engine) ShardCounts() (issued, completed []uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -662,10 +505,7 @@ func (e *Engine) onReply(r consistency.Reply) {
 		return // duplicate reply (read fan-out) or already expired
 	}
 	delete(e.pending, r.ID.Seq)
-	e.outstanding[p.client]--
-	if p.shard >= 0 {
-		e.shards[p.shard].completed++
-	}
+	e.shards[p.shard].completed++
 	lat := e.ctx.Now().Sub(p.t0)
 	e.m.Completed++
 	if p.read {

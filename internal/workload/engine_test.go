@@ -8,6 +8,7 @@ import (
 
 	"aqua/internal/app"
 	"aqua/internal/apps"
+	"aqua/internal/client"
 	"aqua/internal/core"
 	"aqua/internal/group"
 	"aqua/internal/netsim"
@@ -31,7 +32,7 @@ func deployWithEngine(t *testing.T, seed int64, ecfg workload.EngineConfig) (*si
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecfg.Service = d.Info
+	ecfg.Shards = []client.ServiceInfo{d.Info}
 	eng := workload.NewEngine(ecfg)
 	rt.Register("load", eng)
 	rt.Start()
@@ -41,7 +42,6 @@ func deployWithEngine(t *testing.T, seed int64, ecfg workload.EngineConfig) (*si
 func TestEngineOpenLoopMix(t *testing.T) {
 	const rate = 400.0
 	s, eng := deployWithEngine(t, 7, workload.EngineConfig{
-		Clients:      100,
 		Arrivals:     workload.Poisson{Rate: rate},
 		ReadFraction: 0.5,
 		Deadline:     50 * ms,
@@ -78,61 +78,9 @@ func TestEngineOpenLoopMix(t *testing.T) {
 	}
 }
 
-func TestEngineMillionClients(t *testing.T) {
-	s, eng := deployWithEngine(t, 11, workload.EngineConfig{
-		Clients:      1_000_000,
-		Arrivals:     workload.Poisson{Rate: 1000},
-		ReadFraction: 0.3,
-	})
-	s.RunFor(1 * time.Second)
-	m := eng.Metrics()
-	if m.Issued < 700 {
-		t.Fatalf("issued %d, want ~1000", m.Issued)
-	}
-	if float64(m.Completed) < 0.9*float64(m.Issued) {
-		t.Fatalf("completed %d of %d with a million-client population", m.Completed, m.Issued)
-	}
-}
-
-func TestEnginePerClientCapSheds(t *testing.T) {
-	// One client, cap 1, arrivals far faster than the service round trip:
-	// almost every arrival finds the client saturated and is shed.
-	s, eng := deployWithEngine(t, 13, workload.EngineConfig{
-		Clients:      1,
-		PerClientCap: 1,
-		Arrivals:     workload.Poisson{Rate: 5000},
-		ReadFraction: 1,
-	})
-	s.RunFor(500 * ms)
-	m := eng.Metrics()
-	if m.Shed == 0 {
-		t.Fatal("saturated client shed nothing")
-	}
-	if m.Issued+m.Shed == m.Shed {
-		t.Fatal("nothing issued at all")
-	}
-}
-
-func TestEngineMaxRequestsStops(t *testing.T) {
-	s, eng := deployWithEngine(t, 17, workload.EngineConfig{
-		Clients:     10,
-		Arrivals:    workload.Poisson{Rate: 2000},
-		MaxRequests: 100,
-	})
-	s.RunFor(2 * time.Second)
-	m := eng.Metrics()
-	if m.Issued+m.Shed != 100 {
-		t.Fatalf("arrivals = %d, want exactly MaxRequests=100", m.Issued+m.Shed)
-	}
-	if m.Completed != m.Issued {
-		t.Fatalf("completed %d of %d after generator stopped", m.Completed, m.Issued)
-	}
-}
-
 func TestEngineDeterministic(t *testing.T) {
 	run := func() workload.EngineMetrics {
 		s, eng := deployWithEngine(t, 23, workload.EngineConfig{
-			Clients:      1000,
 			Arrivals:     &workload.MMPP{LowRate: 100, HighRate: 800, MeanLow: 200 * ms, MeanHigh: 100 * ms},
 			ReadFraction: 0.7,
 		})
