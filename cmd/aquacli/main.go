@@ -18,6 +18,7 @@ import (
 
 	"aqua/internal/client"
 	"aqua/internal/cluster"
+	"aqua/internal/core"
 	"aqua/internal/live"
 	"aqua/internal/node"
 	"aqua/internal/obs"
@@ -64,10 +65,12 @@ func run(clusterSpec, primaries, clients, id, listen string, sendq int, lazy tim
 	if err != nil {
 		return err
 	}
-
-	var o cluster.Observability
+	if !cs.Clients.Contains(node.ID(id)) {
+		return fmt.Errorf("%q is not declared in -clients", id)
+	}
+	cc := core.ClientConfig{ID: node.ID(id), Spec: spec, Methods: qos.NewMethods("Get", "Version")}
 	if metricsAddr != "" {
-		o.Obs = obs.NewRegistry()
+		cc.Obs = obs.NewRegistry()
 	}
 	if tracePath != "" {
 		traceFile, err := os.Create(tracePath)
@@ -75,8 +78,8 @@ func run(clusterSpec, primaries, clients, id, listen string, sendq int, lazy tim
 			return fmt.Errorf("-trace: %w", err)
 		}
 		defer traceFile.Close()
-		o.Tracer = obs.NewTracer(traceFile, time.Now())
-		defer o.Tracer.Flush()
+		cc.Tracer = obs.NewTracer(traceFile, time.Now())
+		defer cc.Tracer.Flush()
 	}
 
 	rt := live.NewRuntime(live.WithSeed(time.Now().UnixNano()))
@@ -85,12 +88,12 @@ func run(clusterSpec, primaries, clients, id, listen string, sendq int, lazy tim
 		return err
 	}
 	defer tr.Close()
-	tr.Instrument(o.Obs)
+	tr.Instrument(cc.Obs)
 	rt.SetRemote(tr.Send)
 
 	if metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(o.Obs))
+		mux.Handle("/metrics", obs.Handler(cc.Obs))
 		srv := &http.Server{Addr: metricsAddr, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -101,10 +104,9 @@ func run(clusterSpec, primaries, clients, id, listen string, sendq int, lazy tim
 		fmt.Printf("aquacli: metrics on http://%s/metrics\n", metricsAddr)
 	}
 
-	gw, err := cs.NewClient(node.ID(id), spec, qos.NewMethods("Get", "Version"), lazy, o)
-	if err != nil {
-		return err
-	}
+	cfg := core.ClientGatewayConfig(core.ServiceConfig{}, cc)
+	cfg.Service = cs.ServiceInfo(lazy)
+	gw := client.New(cfg)
 
 	done := make(chan error, 1)
 	driver := func(ctx node.Context, gw *client.Gateway) {
@@ -176,9 +178,9 @@ func run(clusterSpec, primaries, clients, id, listen string, sendq int, lazy tim
 
 	select {
 	case err := <-done:
-		if err == nil && o.Obs != nil {
+		if err == nil && cc.Obs != nil {
 			fmt.Println("\naquacli: final metrics snapshot:")
-			if werr := o.Obs.WritePrometheus(os.Stdout); werr != nil {
+			if werr := cc.Obs.WritePrometheus(os.Stdout); werr != nil {
 				fmt.Fprintln(os.Stderr, "aquacli: metrics dump:", werr)
 			}
 		}

@@ -1,7 +1,8 @@
-// Command aquad hosts one or more replica gateways of a replicated service
-// in a single OS process, speaking the protocol over TCP. Several aquad
-// processes plus aquacli form a real distributed deployment of the
-// framework — the same gateways the simulator runs, on real sockets.
+// Command aquad hosts replica gateways of a replicated service in a single OS
+// process, speaking the protocol over TCP. Several aquad processes plus
+// aquacli form a real distributed deployment of the framework — the same
+// gateways the simulator runs, built by the same package core, on real
+// sockets.
 //
 // Topology is described by a flag-friendly cluster spec shared by every
 // process:
@@ -22,15 +23,21 @@
 // this one process — every shard's sequencer, primaries, and secondaries
 // as concurrent goroutine-backed nodes on the parallel runtime. In that
 // mode -cluster lists only the client processes (id=host:port) that will
-// connect, and -primaries/-host are ignored:
+// connect, and -primaries/-host are rejected. With -shards 1 the replicas
+// keep the plain IDs p00, p01, ..., s00, so aquacli can drive it with
+// -primaries p00,p01,p02 and those IDs in its -cluster:
 //
 //	aquad -listen 127.0.0.1:7100 -shards 4 -cluster "c00=127.0.0.1:7300" -clients c00
 //
-// -pprof-addr serves net/http/pprof in either mode, for profiling the
-// serving hot path under live load.
+// Both modes build one core.ServiceConfig from the flags, so -wal-dir,
+// -snapshot-every, -replicated-assign, -trace and -metrics-addr apply to
+// either. With -wal-dir D every hosted replica keeps its WAL in D/<id>, and
+// a restarted process recovers from it. -pprof-addr serves net/http/pprof,
+// for profiling the serving hot path under live load.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -44,6 +51,7 @@ import (
 
 	"aqua/internal/app"
 	"aqua/internal/apps"
+	"aqua/internal/client"
 	"aqua/internal/cluster"
 	"aqua/internal/core"
 	"aqua/internal/group"
@@ -54,40 +62,55 @@ import (
 	"aqua/internal/wal"
 )
 
+// options are aquad's flags.
+type options struct {
+	cluster, primaries, clients, host, listen string
+	sendq                                     int
+	lazy                                      time.Duration
+	app, metricsAddr, pprofAddr, tracePath    string
+	verbose                                   bool
+	shards, shardPrim, shardSec               int
+	walDir                                    string
+	snapEvery                                 int
+	replAssign                                bool
+}
+
 func main() {
-	var (
-		clusterSpec = flag.String("cluster", "", "comma-separated id=host:port for every replica and client process")
-		primaries   = flag.String("primaries", "", "comma-separated primary group IDs (lowest is the sequencer)")
-		clients     = flag.String("clients", "", "comma-separated client IDs")
-		host        = flag.String("host", "", "comma-separated replica IDs hosted by this process")
-		listen      = flag.String("listen", "127.0.0.1:7100", "TCP listen address of this process")
-		sendq       = flag.Int("sendq", tcpnet.DefaultSendQueue, "per-peer send queue capacity in frames (overflow drops are recovered by retransmission)")
-		lazy        = flag.Duration("lazy", 2*time.Second, "lazy update interval T_L")
-		appName     = flag.String("app", "kv", "replicated application: kv, document, ticker")
-		metricsAddr = flag.String("metrics-addr", "", "HTTP address serving Prometheus text on /metrics (empty = metrics off)")
-		pprofAddr   = flag.String("pprof-addr", "", "HTTP address serving net/http/pprof under /debug/pprof/ (empty = off)")
-		tracePath   = flag.String("trace", "", "JSONL trace output file (empty = tracing off)")
-		verbose     = flag.Bool("v", false, "log gateway diagnostics")
-		shards      = flag.Int("shards", 0, "host a self-contained N-shard service in this process (-primaries/-host ignored; -cluster lists client peers only)")
-		shardPrim   = flag.Int("shard-primaries", 2, "serving primaries per shard in -shards mode (the sequencer is extra)")
-		shardSec    = flag.Int("shard-secondaries", 1, "secondaries per shard in -shards mode")
-		walDir      = flag.String("wal-dir", "", "directory for per-replica WAL + snapshot files; a restarted process recovers from it instead of re-fetching history (empty = durability off)")
-		snapEvery   = flag.Int("snapshot-every", 0, "compact the WAL every N log records (0 = default rule: at least 256 records and as many log bytes as the snapshot cell being replaced)")
-		replAssign  = flag.Bool("replicated-assign", false, "enable majority-floor replicated GSN ordering in the primary group")
-	)
+	var o options
+	flag.StringVar(&o.cluster, "cluster", "", "comma-separated id=host:port for every replica and client process")
+	flag.StringVar(&o.primaries, "primaries", "", "comma-separated primary group IDs (lowest is the sequencer)")
+	flag.StringVar(&o.clients, "clients", "", "comma-separated client IDs")
+	flag.StringVar(&o.host, "host", "", "comma-separated replica IDs hosted by this process")
+	flag.StringVar(&o.listen, "listen", "127.0.0.1:7100", "TCP listen address of this process")
+	flag.IntVar(&o.sendq, "sendq", tcpnet.DefaultSendQueue, "per-peer send queue capacity in frames (overflow drops are recovered by retransmission)")
+	flag.DurationVar(&o.lazy, "lazy", 2*time.Second, "lazy update interval T_L")
+	flag.StringVar(&o.app, "app", "kv", "replicated application: kv, document, ticker")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "HTTP address serving Prometheus text on /metrics (empty = metrics off)")
+	flag.StringVar(&o.pprofAddr, "pprof-addr", "", "HTTP address serving net/http/pprof under /debug/pprof/ (empty = off)")
+	flag.StringVar(&o.tracePath, "trace", "", "JSONL trace output file (empty = tracing off)")
+	flag.BoolVar(&o.verbose, "v", false, "log gateway diagnostics")
+	flag.IntVar(&o.shards, "shards", 0, "host a self-contained N-shard service in this process (-primaries/-host rejected; -cluster lists client peers only)")
+	flag.IntVar(&o.shardPrim, "shard-primaries", 2, "serving primaries per shard in -shards mode (the sequencer is extra)")
+	flag.IntVar(&o.shardSec, "shard-secondaries", 1, "secondaries per shard in -shards mode")
+	flag.StringVar(&o.walDir, "wal-dir", "", "directory for per-replica WAL + snapshot files; a restarted process recovers from it instead of re-fetching history (empty = durability off)")
+	flag.IntVar(&o.snapEvery, "snapshot-every", 0, "compact the WAL every N log records (0 = default rule: at least 256 records and as many log bytes as the snapshot cell being replaced)")
+	flag.BoolVar(&o.replAssign, "replicated-assign", false, "enable majority-floor replicated GSN ordering in the primary group")
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		srv := servePprof(*pprofAddr)
-		defer srv.Close()
+	if o.pprofAddr != "" {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		// Kept off the metrics mux so profiling a wedged process never
+		// competes with scrapes, and so it can stay firewalled separately.
+		defer serveHTTP("pprof", o.pprofAddr, "/debug/pprof/", mux).Close()
 	}
-	var err error
-	if *shards > 0 {
-		err = runSharded(*clusterSpec, *clients, *listen, *sendq, *lazy, *appName,
-			*metricsAddr, *shards, *shardPrim, *shardSec, *verbose)
-	} else {
-		err = run(*clusterSpec, *primaries, *clients, *host, *listen, *sendq, *lazy, *appName,
-			*metricsAddr, *tracePath, *walDir, *snapEvery, *replAssign, *verbose)
+	d, err := configure(o)
+	if err == nil {
+		err = run(o, d)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aquad:", err)
@@ -95,23 +118,15 @@ func main() {
 	}
 }
 
-// servePprof exposes the standard net/http/pprof endpoints on their own
-// listener (kept off the metrics mux so profiling a wedged process never
-// competes with scrapes, and so it can stay firewalled separately).
-func servePprof(addr string) *http.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+// serveHTTP serves mux on addr in the background and announces path.
+func serveHTTP(what, addr, path string, mux *http.ServeMux) *http.Server {
 	srv := &http.Server{Addr: addr, Handler: mux}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "aquad: pprof server:", err)
+			fmt.Fprintf(os.Stderr, "aquad: %s server: %v\n", what, err)
 		}
 	}()
-	fmt.Printf("aquad: pprof on http://%s/debug/pprof/\n", addr)
+	fmt.Printf("aquad: %s on http://%s%s\n", what, addr, path)
 	return srv
 }
 
@@ -128,197 +143,147 @@ func newApp(name string) (func() app.Application, error) {
 	}
 }
 
-// runSharded is the -shards mode: one process hosting every replica of an
-// N-shard service as concurrent nodes on the parallel runtime. The
-// cluster spec lists only the client processes that will connect.
-func runSharded(clusterSpec, clients, listen string, sendq int, lazy time.Duration, appName,
-	metricsAddr string, shards, prim, sec int, verbose bool) error {
-	mkApp, err := newApp(appName)
-	if err != nil {
-		return err
-	}
-	peers, err := parsePeers(clusterSpec)
-	if err != nil {
-		return err
-	}
-	var reg *obs.Registry
-	if metricsAddr != "" {
-		reg = obs.NewRegistry()
-	}
-
-	opts := []live.Option{live.WithSeed(time.Now().UnixNano())}
-	if verbose {
-		opts = append(opts, live.WithLog(os.Stderr))
-	}
-	rt := live.NewRuntime(opts...)
-	tr, err := tcpnet.New(rt, listen, peers, tcpnet.WithSendQueue(sendq))
-	if err != nil {
-		return err
-	}
-	defer tr.Close()
-	tr.Instrument(reg)
-	rt.SetRemote(tr.Send)
-
-	svc := core.ServiceConfig{
-		Primaries:    prim + 1, // + the sequencer
-		Secondaries:  sec,
-		LazyInterval: lazy,
-		Group:        group.DefaultConfig(),
-		NewApp:       mkApp,
-		FastReads:    true,
-		ExtraClients: cluster.SplitIDs(clients),
-		Obs:          reg,
-	}
-	sd, err := core.DeployShards(rt, svc, shards, nil)
-	if err != nil {
-		return err
-	}
-	rt.Start()
-	defer rt.Stop()
-
-	if metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(reg))
-		srv := &http.Server{Addr: metricsAddr, Handler: mux}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "aquad: metrics server:", err)
-			}
-		}()
-		defer srv.Close()
-		fmt.Printf("aquad: metrics on http://%s/metrics\n", metricsAddr)
-	}
-
-	for i, d := range sd.Shards {
-		fmt.Printf("aquad: shard %d: primaries %s; secondaries %s\n",
-			i, idList(d.PrimaryGroup), idList(d.Secondaries))
-	}
-	fmt.Printf("aquad: hosting %d shard(s) on %s\n", shards, listen)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("aquad: shutting down")
-	return nil
+// daemon is what the flags resolve to: one service, the peers this process
+// dials, and which part of the service it hosts — every replica of an
+// N-shard service, or the -host subset of the -cluster service.
+type daemon struct {
+	svc    core.ServiceConfig
+	peers  map[node.ID]string
+	shards int
+	info   client.ServiceInfo
+	hosted cluster.IDList
 }
 
-// parsePeers reads the sharded mode's client-only cluster spec
-// (id=host:port, comma-separated; empty allowed).
-func parsePeers(spec string) (map[node.ID]string, error) {
-	peers := make(map[node.ID]string)
-	if strings.TrimSpace(spec) == "" {
-		return peers, nil
+// configure validates the flags and resolves them into a daemon. It opens
+// nothing: files, sockets and runtimes belong to run.
+func configure(o options) (*daemon, error) {
+	mkApp, err := newApp(o.app)
+	if err != nil {
+		return nil, err
 	}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
-			return nil, fmt.Errorf("bad -cluster entry %q (want id=host:port)", part)
+	d := &daemon{shards: o.shards, svc: core.ServiceConfig{
+		LazyInterval:     o.lazy,
+		Group:            group.DefaultConfig(),
+		NewApp:           mkApp,
+		FastReads:        true,
+		Durable:          o.walDir != "",
+		SnapshotEvery:    o.snapEvery,
+		ReplicatedAssign: o.replAssign,
+		ExtraClients:     cluster.SplitIDs(o.clients),
+	}}
+	if o.shards > 0 {
+		if o.host != "" || o.primaries != "" {
+			return nil, errors.New("-shards hosts every replica of its service: -host and -primaries do not apply")
 		}
-		peers[node.ID(kv[0])] = kv[1]
+		d.svc.Primaries = o.shardPrim + 1 // + the sequencer
+		d.svc.Secondaries = o.shardSec
+		if d.peers, err = cluster.ParseAddrs(o.cluster); err != nil {
+			return nil, err
+		}
+		return d, nil
 	}
-	return peers, nil
+	spec, err := cluster.Parse(o.cluster, o.primaries, o.clients)
+	if err != nil {
+		return nil, err
+	}
+	d.hosted = cluster.SplitIDs(o.host)
+	if len(d.hosted) == 0 {
+		return nil, errors.New("-host must name at least one replica")
+	}
+	d.info = spec.ServiceInfo(o.lazy)
+	d.peers = spec.PeersFor(d.hosted)
+	return d, nil
 }
 
-func idList(ids []node.ID) string {
-	ss := make([]string, len(ids))
-	for i, id := range ids {
-		ss[i] = string(id)
+// run hosts the daemon's replicas until SIGINT or SIGTERM.
+func run(o options, d *daemon) error {
+	svc := d.svc
+	if o.metricsAddr != "" {
+		svc.Obs = obs.NewRegistry()
 	}
-	return strings.Join(ss, ",")
-}
-
-func run(clusterSpec, primaries, clients, host, listen string, sendq int, lazy time.Duration, appName string,
-	metricsAddr, tracePath, walDir string, snapEvery int, replAssign bool, verbose bool) error {
-	spec, err := cluster.Parse(clusterSpec, primaries, clients)
-	if err != nil {
-		return err
-	}
-	mkApp, err := newApp(appName)
-	if err != nil {
-		return err
-	}
-	hosted := cluster.SplitIDs(host)
-	if len(hosted) == 0 {
-		return fmt.Errorf("-host must name at least one replica")
-	}
-
-	var o cluster.Observability
-	if metricsAddr != "" {
-		o.Obs = obs.NewRegistry()
-	}
-	var traceFile *os.File
-	if tracePath != "" {
-		traceFile, err = os.Create(tracePath)
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
 		if err != nil {
 			return fmt.Errorf("-trace: %w", err)
 		}
-		defer traceFile.Close()
-		o.Tracer = obs.NewTracer(traceFile, time.Now())
+		defer f.Close()
+		svc.Tracer = obs.NewTracer(f, time.Now())
+	}
+	var medias []*wal.FileMedia
+	defer func() {
+		for _, m := range medias {
+			m.Close()
+		}
+	}()
+	svc.NewMedia = func(id node.ID) (wal.Media, error) {
+		m, err := wal.NewFileMedia(filepath.Join(o.walDir, string(id)))
+		if err != nil {
+			return nil, fmt.Errorf("-wal-dir: %w", err)
+		}
+		medias = append(medias, m)
+		return m, nil
 	}
 
 	opts := []live.Option{live.WithSeed(time.Now().UnixNano())}
-	if verbose {
+	if o.verbose {
 		opts = append(opts, live.WithLog(os.Stderr))
 	}
 	rt := live.NewRuntime(opts...)
-
-	tr, err := tcpnet.New(rt, listen, spec.PeersFor(hosted), tcpnet.WithSendQueue(sendq))
+	tr, err := tcpnet.New(rt, o.listen, d.peers, tcpnet.WithSendQueue(o.sendq))
 	if err != nil {
 		return err
 	}
 	defer tr.Close()
-	tr.Instrument(o.Obs)
+	tr.Instrument(svc.Obs)
 	rt.SetRemote(tr.Send)
 
-	ropts := cluster.ReplicaOptions{SnapshotEvery: snapEvery, ReplicatedAssign: replAssign}
-	for _, id := range hosted {
-		ropts.Media = nil
-		if walDir != "" {
-			media, err := wal.NewFileMedia(filepath.Join(walDir, string(id)))
-			if err != nil {
-				return fmt.Errorf("-wal-dir: %w", err)
-			}
-			defer media.Close()
-			ropts.Media = media
-		}
-		gw, err := spec.NewReplicaOpts(id, lazy, mkApp(), o, ropts)
+	var banner string
+	if d.shards > 0 {
+		sd, err := core.DeployShards(rt, svc, d.shards, nil)
 		if err != nil {
 			return err
 		}
-		rt.Register(id, gw)
+		for i, s := range sd.Shards {
+			banner += fmt.Sprintf("aquad: shard %d: primaries %s; secondaries %s\n",
+				i, idList(s.PrimaryGroup), idList(s.Secondaries))
+		}
+		banner += fmt.Sprintf("aquad: hosting %d shard(s) on %s", d.shards, o.listen)
+	} else {
+		dep, err := core.NewDeployment(svc, d.info, nil)
+		if err == nil {
+			err = dep.Host(rt, d.hosted...)
+		}
+		if err != nil {
+			return err
+		}
+		banner = fmt.Sprintf("aquad: hosting %s on %s (sequencer %s)", idList(d.hosted), o.listen, d.info.Sequencer)
 	}
 	rt.Start()
 	defer rt.Stop()
 
-	if metricsAddr != "" {
+	if o.metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(o.Obs))
-		srv := &http.Server{Addr: metricsAddr, Handler: mux}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "aquad: metrics server:", err)
-			}
-		}()
-		defer srv.Close()
-		fmt.Printf("aquad: metrics on http://%s/metrics\n", metricsAddr)
+		mux.Handle("/metrics", obs.Handler(svc.Obs))
+		defer serveHTTP("metrics", o.metricsAddr, "/metrics", mux).Close()
 	}
-
-	fmt.Printf("aquad: hosting %s on %s (sequencer %s)\n",
-		strings.Join(hosted.Strings(), ","), listen, spec.Sequencer)
+	fmt.Println(banner)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("aquad: shutting down")
-	if o.Tracer != nil {
-		if err := o.Tracer.Flush(); err != nil {
+	if svc.Tracer != nil {
+		if err := svc.Tracer.Flush(); err != nil {
 			fmt.Fprintln(os.Stderr, "aquad: trace flush:", err)
 		}
 	}
-	if o.Obs != nil {
+	if svc.Obs != nil {
 		// Final metrics snapshot so a scrape-less run still leaves evidence.
 		fmt.Println("aquad: final metrics snapshot:")
-		if err := o.Obs.WritePrometheus(os.Stdout); err != nil {
+		if err := svc.Obs.WritePrometheus(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "aquad: metrics dump:", err)
 		}
 	}
 	return nil
 }
+
+func idList(ids []node.ID) string { return strings.Join(cluster.IDList(ids).Strings(), ",") }

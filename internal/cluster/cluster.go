@@ -1,7 +1,7 @@
 // Package cluster parses the flag-level cluster description shared by the
-// aquad and aquacli binaries and turns it into gateway configurations: who
-// the replicas and clients are, where each process listens, which primary
-// is the sequencer, and which peers a given process must dial.
+// aquad and aquacli binaries: who the replicas and clients are, where each
+// process listens, which primary is the sequencer, and which peers a given
+// process must dial. Building the gateways is package core's job.
 package cluster
 
 import (
@@ -10,22 +10,9 @@ import (
 	"strings"
 	"time"
 
-	"aqua/internal/app"
 	"aqua/internal/client"
-	"aqua/internal/group"
 	"aqua/internal/node"
-	"aqua/internal/obs"
-	"aqua/internal/qos"
-	"aqua/internal/replica"
-	"aqua/internal/wal"
 )
-
-// Observability bundles the optional metrics registry and trace sink a
-// process attaches to the gateways it hosts. The zero value disables both.
-type Observability struct {
-	Obs    *obs.Registry
-	Tracer *obs.Tracer
-}
 
 // IDList is a parsed, order-preserving list of node IDs.
 type IDList []node.ID
@@ -79,13 +66,11 @@ type Spec struct {
 	Sequencer node.ID
 }
 
-// Parse builds a Spec from the -cluster, -primaries and -clients flags.
-func Parse(clusterSpec, primaries, clients string) (*Spec, error) {
-	if strings.TrimSpace(clusterSpec) == "" {
-		return nil, fmt.Errorf("cluster: -cluster spec is required")
-	}
-	s := &Spec{Addresses: make(map[node.ID]string)}
-	for _, part := range strings.Split(clusterSpec, ",") {
+// ParseAddrs parses a comma-separated id=host:port list — the -cluster flag —
+// into an address map. The empty list is an empty map.
+func ParseAddrs(spec string) (map[node.ID]string, error) {
+	addrs := make(map[node.ID]string)
+	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
@@ -94,12 +79,24 @@ func Parse(clusterSpec, primaries, clients string) (*Spec, error) {
 		if !ok || id == "" || addr == "" {
 			return nil, fmt.Errorf("cluster: bad entry %q (want id=host:port)", part)
 		}
-		if _, dup := s.Addresses[node.ID(id)]; dup {
+		if _, dup := addrs[node.ID(id)]; dup {
 			return nil, fmt.Errorf("cluster: duplicate id %q", id)
 		}
-		s.Addresses[node.ID(id)] = addr
+		addrs[node.ID(id)] = addr
 	}
+	return addrs, nil
+}
 
+// Parse builds a Spec from the -cluster, -primaries and -clients flags.
+func Parse(clusterSpec, primaries, clients string) (*Spec, error) {
+	if strings.TrimSpace(clusterSpec) == "" {
+		return nil, fmt.Errorf("cluster: -cluster spec is required")
+	}
+	addrs, err := ParseAddrs(clusterSpec)
+	if err != nil {
+		return nil, err
+	}
+	s := &Spec{Addresses: addrs}
 	s.Primaries = SplitIDs(primaries)
 	if len(s.Primaries) < 2 {
 		return nil, fmt.Errorf("cluster: need at least 2 primaries (sequencer + 1 serving)")
@@ -147,72 +144,4 @@ func (s *Spec) ServiceInfo(lazy time.Duration) client.ServiceInfo {
 		Sequencer:    s.Sequencer,
 		LazyInterval: lazy,
 	}
-}
-
-// ReplicaOptions are the durability and ordering knobs a process can arm
-// on the replicas it hosts. The zero value is the legacy configuration:
-// no WAL, per-sequencer GSN ordering.
-type ReplicaOptions struct {
-	// Media, when non-nil, equips the replica with a WAL + snapshot store
-	// over it; a restart of the process then recovers from media instead
-	// of re-fetching history.
-	Media wal.Media
-	// SnapshotEvery, when positive, is the WAL compaction threshold in log
-	// records. 0 selects the default rule: at least 256 records and at
-	// least as many log bytes as the snapshot cell being replaced. See
-	// replica.Config.
-	SnapshotEvery int
-	// ReplicatedAssign enables majority-floor replicated GSN ordering.
-	ReplicatedAssign bool
-}
-
-// NewReplica builds a replica gateway config for one hosted ID.
-func (s *Spec) NewReplica(id node.ID, lazy time.Duration, application app.Application, o Observability) (*replica.Gateway, error) {
-	return s.NewReplicaOpts(id, lazy, application, o, ReplicaOptions{})
-}
-
-// NewReplicaOpts is NewReplica with durability and ordering options.
-func (s *Spec) NewReplicaOpts(id node.ID, lazy time.Duration, application app.Application, o Observability, opts ReplicaOptions) (*replica.Gateway, error) {
-	if _, ok := s.Addresses[id]; !ok {
-		return nil, fmt.Errorf("cluster: unknown replica %q", id)
-	}
-	if s.Clients.Contains(id) {
-		return nil, fmt.Errorf("cluster: %q is a client, not a replica", id)
-	}
-	var store *wal.Store
-	if opts.Media != nil {
-		store = wal.NewStore(opts.Media)
-	}
-	return replica.New(replica.Config{
-		Primary:          s.Primaries.Contains(id),
-		PrimaryGroup:     s.Primaries,
-		Secondaries:      s.Secondaries,
-		Clients:          s.Clients,
-		Group:            group.DefaultConfig(),
-		LazyInterval:     lazy,
-		Durable:          store,
-		SnapshotEvery:    opts.SnapshotEvery,
-		ReplicatedAssign: opts.ReplicatedAssign,
-		App:              application,
-		Obs:              o.Obs,
-		Tracer:           o.Tracer,
-	}), nil
-}
-
-// NewClient builds a client gateway for one client ID.
-func (s *Spec) NewClient(id node.ID, spec qos.Spec, methods *qos.Methods, lazy time.Duration, o Observability) (*client.Gateway, error) {
-	if !s.Clients.Contains(id) {
-		return nil, fmt.Errorf("cluster: %q is not declared in -clients", id)
-	}
-	gcfg := group.DefaultConfig()
-	gcfg.HeartbeatInterval = 0
-	gcfg.FailTimeout = 0
-	return client.New(client.Config{
-		Service: s.ServiceInfo(lazy),
-		Spec:    spec,
-		Methods: methods,
-		Group:   gcfg,
-		Obs:     o.Obs,
-		Tracer:  o.Tracer,
-	}), nil
 }

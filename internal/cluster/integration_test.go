@@ -6,18 +6,22 @@ import (
 	"testing"
 	"time"
 
+	"aqua/internal/app"
 	"aqua/internal/apps"
 	"aqua/internal/client"
+	"aqua/internal/core"
+	"aqua/internal/group"
 	"aqua/internal/live"
 	"aqua/internal/node"
 	"aqua/internal/qos"
 	"aqua/internal/tcpnet"
 )
 
-// TestClusterEndToEndOverTCP exercises the exact code path the aquad and
-// aquacli binaries run: parse a cluster spec, build replica and client
-// gateways from it, host them in separate live runtimes bridged by real
-// TCP, and complete a write+read under a QoS spec.
+// TestClusterEndToEndOverTCP exercises the path the aquad and aquacli
+// binaries run: parse a cluster spec, build each process's replicas with
+// core.NewDeployment + Host and the client with core.ClientGatewayConfig,
+// host them in separate live runtimes bridged by real TCP, and complete a
+// write+read under a QoS spec. Replica names are arbitrary.
 func TestClusterEndToEndOverTCP(t *testing.T) {
 	// Three "processes": two replica hosts and one client host, with
 	// ephemeral ports discovered after listen.
@@ -42,9 +46,9 @@ func TestClusterEndToEndOverTCP(t *testing.T) {
 	}()
 
 	// Cluster spec written exactly as the -cluster flag would be.
-	hostOf := map[string]*proc{
-		"p00": procA, "p01": procA,
-		"p02": procB, "s00": procB,
+	hostOf := map[node.ID]*proc{
+		"alpha": procA, "beta": procA,
+		"gamma": procB, "zeta": procB,
 		"c00": procC,
 	}
 	specStr := ""
@@ -54,37 +58,47 @@ func TestClusterEndToEndOverTCP(t *testing.T) {
 		}
 		specStr += fmt.Sprintf("%s=%s", id, p.tr.Addr())
 	}
-	spec, err := Parse(specStr, "p00,p01,p02", "c00")
+	spec, err := Parse(specStr, "gamma,alpha,beta", "c00")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if spec.Sequencer != "alpha" || len(spec.Secondaries) != 1 || spec.Secondaries[0] != "zeta" {
+		t.Fatalf("spec = %+v", spec)
 	}
 
 	// Every process maps all non-local peers.
-	for idStr, p := range hostOf {
-		id := node.ID(idStr)
-		for otherStr, other := range hostOf {
-			if other != p {
-				p.tr.AddPeer(node.ID(otherStr), other.tr.Addr())
+	for _, p := range hostOf {
+		for other, op := range hostOf {
+			if op != p {
+				p.tr.AddPeer(other, op.tr.Addr())
 			}
 		}
-		_ = id
 	}
 
 	const lazy = 500 * time.Millisecond
-	for _, idStr := range []string{"p00", "p01", "p02", "s00"} {
-		id := node.ID(idStr)
-		gw, err := spec.NewReplica(id, lazy, apps.NewKVStore(), Observability{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hostOf[idStr].rt.Register(id, gw)
-	}
-
-	qspec := qos.Spec{Staleness: 0, Deadline: time.Second, MinProb: 0.5}
-	cgw, err := spec.NewClient("c00", qspec, qos.NewMethods("Get", "Version"), lazy, Observability{})
+	d, err := core.NewDeployment(core.ServiceConfig{
+		LazyInterval: lazy,
+		Group:        group.DefaultConfig(),
+		NewApp:       func() app.Application { return apps.NewKVStore() },
+		FastReads:    true,
+		ExtraClients: spec.Clients,
+	}, spec.ServiceInfo(lazy), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Host(procA.rt, "alpha", "beta"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Host(procB.rt, "gamma", "zeta"); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := core.ClientGatewayConfig(core.ServiceConfig{}, core.ClientConfig{
+		Spec:    qos.Spec{Staleness: 0, Deadline: time.Second, MinProb: 0.5},
+		Methods: qos.NewMethods("Get", "Version"),
+	})
+	cfg.Service = spec.ServiceInfo(lazy)
+	cgw := client.New(cfg)
 	var got atomic.Value
 	procC.rt.Register("c00", &drivenClient{gw: cgw, run: func(ctx node.Context) {
 		ctx.SetTimer(50*time.Millisecond, func() {

@@ -51,10 +51,8 @@ type ServiceConfig struct {
 	Group group.Config
 	// NewApp builds one application instance per replica.
 	NewApp func() app.Application
-	// ChaseInterval and TakeoverTimeout tune failover handling (0 =
-	// defaults).
-	ChaseInterval   time.Duration
-	TakeoverTimeout time.Duration
+	// ChaseInterval tunes failover handling (0 = default).
+	ChaseInterval time.Duration
 	// AssignBatch/AssignBatchWindow size the sequencer's assignment window
 	// (one GSNAssignBatch broadcast per window). <= 1 is a window of one,
 	// the paper's per-request protocol. Update chases join the window too,
@@ -178,7 +176,8 @@ type Deployment struct {
 	// Info is what each client was told about the service.
 	Info client.ServiceInfo
 
-	svc ServiceConfig
+	svc     ServiceConfig
+	clients []ClientConfig
 }
 
 // roleOf reports whether id is a primary of this deployment, or an error if
@@ -214,46 +213,14 @@ func (d *Deployment) durableStore(id node.ID) (*wal.Store, error) {
 	return wal.NewStore(d.Media.Get(id)), nil
 }
 
-// buildReplicaConfig renders the deployment's replica.Config for one node.
-func (d *Deployment) buildReplicaConfig(id node.ID, primary bool) (replica.Config, error) {
-	durable, err := d.durableStore(id)
-	if err != nil {
-		return replica.Config{}, err
-	}
-	return replica.Config{
-		Primary:           primary,
-		OnApply:           bindApply(d.svc.OnApply, id),
-		OnServeRead:       bindServeRead(d.svc.OnServeRead, id),
-		OnRestore:         bindRestore(d.svc.OnRestore, id),
-		OnRecover:         bindRecover(d.svc.OnRecover, id),
-		PrimaryGroup:      d.PrimaryGroup,
-		Secondaries:       d.Secondaries,
-		Clients:           d.ClientIDs,
-		Group:             d.svc.Group,
-		LazyInterval:      d.svc.LazyInterval,
-		ServiceDelay:      d.svc.ServiceDelay,
-		ChaseInterval:     d.svc.ChaseInterval,
-		TakeoverTimeout:   d.svc.TakeoverTimeout,
-		AssignBatch:       d.svc.AssignBatch,
-		AssignBatchWindow: d.svc.AssignBatchWindow,
-		SeqCostBase:       d.svc.SeqCostBase,
-		SeqCostPerReq:     d.svc.SeqCostPerReq,
-		FastReads:         d.svc.FastReads,
-		Durable:           durable,
-		SnapshotEvery:     d.svc.SnapshotEvery,
-		ReplicatedAssign:  d.svc.ReplicatedAssign,
-		App:               d.svc.NewApp(),
-		Obs:               d.svc.Obs,
-		Tracer:            d.svc.Tracer,
-	}, nil
-}
-
 // NewReplicaGateway builds a fresh gateway for a deployed replica ID — the
 // replacement instance for a process restart with total state loss (pass it
-// to the runtime's Restart). Any durable media is wiped — this restart
-// flavor models losing the disk with the process — and the new instance
-// recovers through the replica recovery protocol (startup SyncRequest,
-// commit-gap chase).
+// to the runtime's Restart). Only the in-memory registry the Deployment owns
+// (Durable without NewMedia) is wiped — this restart flavor models losing
+// the disk with the process. With NewMedia set nothing is wiped: the new
+// instance gets whatever NewMedia returns for id and recovers from any
+// durable state on it. Without durable state it recovers through the
+// replica recovery protocol (startup SyncRequest, commit-gap chase).
 func (d *Deployment) NewReplicaGateway(id node.ID) (*replica.Gateway, error) {
 	if d.Media != nil {
 		d.Media.Wipe(id)
@@ -272,21 +239,47 @@ func (d *Deployment) NewRecoveredReplicaGateway(id node.ID) (*replica.Gateway, e
 	return d.newReplica(id)
 }
 
+// newReplica renders the deployment's replica.Config for one node — the
+// only place a replica.Config is built — and builds the gateway.
 func (d *Deployment) newReplica(id node.ID) (*replica.Gateway, error) {
 	primary, err := d.roleOf(id)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := d.buildReplicaConfig(id, primary)
+	durable, err := d.durableStore(id)
 	if err != nil {
 		return nil, err
 	}
-	gw := replica.New(cfg)
+	gw := replica.New(replica.Config{
+		Primary:           primary,
+		OnApply:           bindApply(d.svc.OnApply, id),
+		OnServeRead:       bindServeRead(d.svc.OnServeRead, id),
+		OnRestore:         bindCSN(d.svc.OnRestore, id),
+		OnRecover:         bindCSN(d.svc.OnRecover, id),
+		PrimaryGroup:      d.PrimaryGroup,
+		Secondaries:       d.Secondaries,
+		Clients:           d.ClientIDs,
+		Group:             d.svc.Group,
+		LazyInterval:      d.svc.LazyInterval,
+		ServiceDelay:      d.svc.ServiceDelay,
+		ChaseInterval:     d.svc.ChaseInterval,
+		AssignBatch:       d.svc.AssignBatch,
+		AssignBatchWindow: d.svc.AssignBatchWindow,
+		SeqCostBase:       d.svc.SeqCostBase,
+		SeqCostPerReq:     d.svc.SeqCostPerReq,
+		FastReads:         d.svc.FastReads,
+		Durable:           durable,
+		SnapshotEvery:     d.svc.SnapshotEvery,
+		ReplicatedAssign:  d.svc.ReplicatedAssign,
+		App:               d.svc.NewApp(),
+		Obs:               d.svc.Obs,
+		Tracer:            d.svc.Tracer,
+	})
 	d.Replicas[id] = gw
 	return gw, nil
 }
 
-// bindApply/bindServeRead/bindRestore curry the deployment-level observation
+// bindApply/bindServeRead/bindCSN curry the deployment-level observation
 // hooks with the replica's identity; a nil hook stays nil so the gateways'
 // fast paths keep their single nil check.
 func bindApply(fn func(node.ID, uint64, consistency.RequestID), id node.ID) func(uint64, consistency.RequestID) {
@@ -305,14 +298,7 @@ func bindServeRead(fn func(node.ID, consistency.RequestID, uint64, uint64, int, 
 	}
 }
 
-func bindRestore(fn func(node.ID, uint64), id node.ID) func(uint64) {
-	if fn == nil {
-		return nil
-	}
-	return func(csn uint64) { fn(id, csn) }
-}
-
-func bindRecover(fn func(node.ID, uint64), id node.ID) func(uint64) {
+func bindCSN(fn func(node.ID, uint64), id node.ID) func(uint64) {
 	if fn == nil {
 		return nil
 	}
@@ -336,6 +322,37 @@ func Deploy(rt Runtime, svc ServiceConfig, clients []ClientConfig) (*Deployment,
 	if svc.Primaries < 2 {
 		return nil, errors.New("core: need at least 2 primaries (sequencer + 1 serving member)")
 	}
+	var info client.ServiceInfo
+	for i := 0; i < svc.Primaries; i++ {
+		info.Primaries = append(info.Primaries, node.ID(fmt.Sprintf("%sp%02d", svc.NodePrefix, i)))
+	}
+	info.Sequencer = info.Primaries[0]
+	for i := 0; i < svc.Secondaries; i++ {
+		info.Secondaries = append(info.Secondaries, node.ID(fmt.Sprintf("%ss%02d", svc.NodePrefix, i)))
+	}
+	d, err := NewDeployment(svc, info, clients)
+	if err != nil {
+		return nil, err
+	}
+	ids := append(append([]node.ID(nil), d.PrimaryGroup...), d.Secondaries...)
+	for _, c := range clients {
+		ids = append(ids, c.ID)
+	}
+	if err := d.Host(rt, ids...); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// NewDeployment wires svc over already-named members without building any
+// gateway: info names the primary group (sequencer first) and the
+// secondaries, and — with LazyInterval set from svc — is what every client is
+// told. svc's NodePrefix, Primaries and Secondaries are not consulted; they
+// only name Deploy's members. Build the gateways with Host.
+func NewDeployment(svc ServiceConfig, info client.ServiceInfo, clients []ClientConfig) (*Deployment, error) {
+	if len(info.Primaries) < 2 || info.Sequencer != info.Primaries[0] {
+		return nil, errors.New("core: need at least 2 primaries, the sequencer first")
+	}
 	if svc.NewApp == nil {
 		return nil, errors.New("core: ServiceConfig.NewApp is required")
 	}
@@ -350,62 +367,58 @@ func Deploy(rt Runtime, svc ServiceConfig, clients []ClientConfig) (*Deployment,
 			return nil, errors.New("core: client ID required")
 		}
 	}
-
+	info.LazyInterval = svc.LazyInterval
 	d := &Deployment{
-		Replicas: make(map[node.ID]*replica.Gateway),
-		Clients:  make(map[node.ID]*client.Gateway),
-		svc:      svc,
+		Sequencer:        info.Sequencer,
+		PrimaryGroup:     info.Primaries,
+		ServingPrimaries: info.Primaries[1:],
+		Secondaries:      info.Secondaries,
+		Replicas:         make(map[node.ID]*replica.Gateway),
+		Clients:          make(map[node.ID]*client.Gateway),
+		Info:             info,
+		svc:              svc,
+		clients:          clients,
 	}
 	if svc.Durable && svc.NewMedia == nil {
 		d.Media = wal.NewRegistry()
-	}
-	for i := 0; i < svc.Primaries; i++ {
-		d.PrimaryGroup = append(d.PrimaryGroup, node.ID(fmt.Sprintf("%sp%02d", svc.NodePrefix, i)))
-	}
-	d.Sequencer = d.PrimaryGroup[0]
-	d.ServingPrimaries = d.PrimaryGroup[1:]
-	for i := 0; i < svc.Secondaries; i++ {
-		d.Secondaries = append(d.Secondaries, node.ID(fmt.Sprintf("%ss%02d", svc.NodePrefix, i)))
 	}
 	for _, c := range clients {
 		d.ClientIDs = append(d.ClientIDs, c.ID)
 	}
 	d.ClientIDs = append(d.ClientIDs, svc.ExtraClients...)
+	return d, nil
+}
 
-	d.Info = client.ServiceInfo{
-		Primaries:    d.PrimaryGroup,
-		Secondaries:  d.Secondaries,
-		Sequencer:    d.Sequencer,
-		LazyInterval: svc.LazyInterval,
-	}
-
-	for _, id := range d.PrimaryGroup {
-		gw, err := d.newReplica(id)
+// Host builds the gateways of the named members and registers them with rt
+// in order. Each ID must be a replica of the deployment or a client it was
+// given a ClientConfig for. A process serving part of a service hosts its
+// subset on its own runtime; Deploy hosts every member on one.
+func (d *Deployment) Host(rt Runtime, ids ...node.ID) error {
+	for _, id := range ids {
+		n, err := d.newMember(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rt.Register(id, gw)
+		rt.Register(id, n)
 	}
-	for _, id := range d.Secondaries {
-		gw, err := d.newReplica(id)
-		if err != nil {
-			return nil, err
-		}
-		rt.Register(id, gw)
-	}
+	return nil
+}
 
-	for _, c := range clients {
-		cc := ClientGatewayConfig(svc, c)
+func (d *Deployment) newMember(id node.ID) (node.Node, error) {
+	for _, c := range d.clients {
+		if c.ID != id {
+			continue
+		}
+		cc := ClientGatewayConfig(d.svc, c)
 		cc.Service = d.Info
 		gw := client.New(cc)
-		d.Clients[c.ID] = gw
-		var n node.Node = gw
+		d.Clients[id] = gw
 		if c.Driver != nil {
-			n = &drivenClient{gw: gw, driver: c.Driver}
+			return &drivenClient{gw: gw, driver: c.Driver}, nil
 		}
-		rt.Register(c.ID, n)
+		return gw, nil
 	}
-	return d, nil
+	return d.newReplica(id)
 }
 
 // ClientGatewayConfig renders a ClientConfig into the client.Config Deploy

@@ -78,6 +78,46 @@ func TestDeployValidation(t *testing.T) {
 	}
 }
 
+// registrar records registrations without running anything.
+type registrar struct{ ids []node.ID }
+
+func (r *registrar) Register(id node.ID, _ node.Node) { r.ids = append(r.ids, id) }
+
+// TestHostOnlyBuildsNamedMembers pins how a multi-process deployment builds
+// its members: arbitrary names, the sequencer first, each process hosting
+// its own subset, and only replicas or configured clients accepted.
+func TestHostOnlyBuildsNamedMembers(t *testing.T) {
+	info := client.ServiceInfo{Primaries: []node.ID{"alpha", "beta"}, Secondaries: []node.ID{"zeta"}, Sequencer: "alpha"}
+	cc := ClientConfig{ID: "c00", Spec: qos.Spec{Deadline: time.Second, MinProb: 0.5}, Methods: kvMethods()}
+	svc := testService(0, 0, time.Second)
+	svc.ExtraClients = []node.ID{"router"}
+
+	bad := info
+	bad.Sequencer = "beta"
+	if _, err := NewDeployment(svc, bad, nil); err == nil {
+		t.Fatal("sequencer that is not the first primary accepted")
+	}
+	d, err := NewDeployment(svc, info, []ClientConfig{cc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rt registrar
+	for _, id := range []node.ID{"zz", "router"} {
+		if err := d.Host(&rt, id); err == nil {
+			t.Fatalf("Host(%s) accepted a non-member", id)
+		}
+	}
+	if err := d.Host(&rt, "zeta", "c00", "beta"); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rt.ids) != "[zeta c00 beta]" || len(d.Replicas) != 2 || d.Clients["c00"] == nil {
+		t.Fatalf("registered %v, replicas %d, clients %d", rt.ids, len(d.Replicas), len(d.Clients))
+	}
+	if fmt.Sprint(d.ClientIDs) != "[c00 router]" || d.Info.LazyInterval != time.Second || d.ServingPrimaries[0] != "beta" {
+		t.Fatalf("deployment = %+v", d)
+	}
+}
+
 func TestDeployTopology(t *testing.T) {
 	_, rt := newSim(1)
 	d, err := Deploy(rt, testService(4, 6, 2*time.Second), []ClientConfig{{

@@ -2,15 +2,18 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"aqua/internal/client"
+	"aqua/internal/consistency"
 	"aqua/internal/live"
 	"aqua/internal/node"
 	"aqua/internal/qos"
 	"aqua/internal/tcpnet"
+	"aqua/internal/wal"
 )
 
 func waitFor(t *testing.T, cond func() bool, msg string) {
@@ -173,5 +176,133 @@ func TestLiveRuntimeSequencerFailover(t *testing.T) {
 	waitFor(t, func() bool { return d.Replicas["p01"].IsLeader() }, "p01 leadership")
 	if got := d.Replicas["p02"].Applied(); got != 30 {
 		t.Fatalf("p02 applied %d, want 30", got)
+	}
+}
+
+// TestLiveTCPReplicaRecoversFromFileMedia runs p02 alone in one "process"
+// over TCP with a file-backed WAL, stops that process after N updates, and
+// restarts it from the same directory on a new port — as a restarted aquad
+// would, through NewDeployment + Host. The new incarnation must recover the
+// exact pre-stop commit frontier from disk and serve a read with a = 0.
+func TestLiveTCPReplicaRecoversFromFileMedia(t *testing.T) {
+	const n = 10
+	dir := t.TempDir()
+	var medias []*wal.FileMedia
+	defer func() {
+		for _, m := range medias {
+			m.Close()
+		}
+	}()
+	var p02Applied atomic.Int64
+	var readNow atomic.Bool
+	var got atomic.Value
+	svc := testService(3, 1, 300*ms)
+	svc.Durable = true
+	svc.NewMedia = func(id node.ID) (wal.Media, error) {
+		if id != "p02" {
+			return wal.NewMemMedia(), nil
+		}
+		m, err := wal.NewFileMedia(filepath.Join(dir, string(id)))
+		if err != nil {
+			return nil, err
+		}
+		medias = append(medias, m)
+		return m, nil
+	}
+	svc.OnApply = func(id node.ID, _ uint64, _ consistency.RequestID) {
+		if id == "p02" {
+			p02Applied.Add(1)
+		}
+	}
+	clients := []ClientConfig{{
+		ID:       "c00",
+		Spec:     qos.Spec{Staleness: 0, Deadline: time.Second, MinProb: 0.5},
+		Methods:  kvMethods(),
+		Selector: fixedSelector{ids: []node.ID{"p02"}}, // reads go to p02 only
+		Driver: func(ctx node.Context, gw *client.Gateway) {
+			var issue func(i int)
+			issue = func(i int) {
+				if i < n {
+					gw.Invoke("Set", []byte(fmt.Sprintf("k=%d", i)), func(client.Result) { issue(i + 1) })
+					return
+				}
+				if !readNow.Load() {
+					ctx.SetTimer(5*ms, func() { issue(i) })
+					return
+				}
+				gw.Invoke("Get", []byte("k"), func(r client.Result) { got.Store(r) })
+			}
+			ctx.SetTimer(20*ms, func() { issue(0) })
+		},
+	}}
+
+	type proc struct {
+		rt *live.Runtime
+		tr *tcpnet.Transport
+	}
+	mkProc := func(seed int64) proc {
+		rt := live.NewRuntime(live.WithSeed(seed))
+		tr, err := tcpnet.New(rt, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.SetRemote(tr.Send)
+		return proc{rt, tr}
+	}
+	rest := []node.ID{"p00", "p01", "s00", "c00"}
+	a, b := mkProc(1), mkProc(2)
+	defer a.tr.Close()
+	link := func(b proc) {
+		a.tr.AddPeer("p02", b.tr.Addr())
+		for _, id := range rest {
+			b.tr.AddPeer(id, a.tr.Addr())
+		}
+	}
+	link(b)
+
+	d, err := NewDeployment(svc, client.ServiceInfo{Primaries: []node.ID{"p00", "p01", "p02"}, Secondaries: []node.ID{"s00"}, Sequencer: "p00"}, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Host(a.rt, rest...); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Host(b.rt, "p02"); err != nil {
+		t.Fatal(err)
+	}
+	a.rt.Start()
+	defer a.rt.Stop()
+	b.rt.Start()
+	waitFor(t, func() bool { return p02Applied.Load() == n }, "p02 applies every update")
+	b.rt.Stop()
+	b.tr.Close()
+	before := d.Replicas["p02"].CSN()
+	medias[0].Close()
+	if before != n {
+		t.Fatalf("p02 CSN before the stop = %d, want %d", before, n)
+	}
+
+	// The restarted process: a fresh runtime and transport on a new port,
+	// and a fresh deployment over the same WAL directory.
+	b = mkProc(3)
+	defer b.tr.Close()
+	link(b)
+	d2, err := NewDeployment(svc, d.Info, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Host(b.rt, "p02"); err != nil {
+		t.Fatal(err)
+	}
+	b.rt.Start()
+	readNow.Store(true)
+	waitFor(t, func() bool { return got.Load() != nil }, "a = 0 read from the recovered p02")
+	b.rt.Stop()
+	if rec := d2.Replicas["p02"].Recovered(); rec != before {
+		t.Fatalf("recovered CSN %d, want the pre-stop %d", rec, before)
+	}
+	r := got.Load().(client.Result)
+	if r.Err != "" || r.Replica != "p02" || string(r.Payload) != fmt.Sprint(n-1) {
+		t.Fatalf("read = %+v, want %d from p02", r, n-1)
 	}
 }

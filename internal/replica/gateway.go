@@ -51,13 +51,6 @@ type Config struct {
 	// ChaseInterval is how often buffered requests missing their GSN
 	// assignment are chased with a GSNRequest; 0 selects a default.
 	ChaseInterval time.Duration
-	// TakeoverTimeout bounds the GSNQuery round during sequencer failover;
-	// 0 selects a default.
-	TakeoverTimeout time.Duration
-	// RecoveryGap is the commit-stream gap (my_GSN − my_CSN) beyond which a
-	// replica assumes it missed history (e.g. it restarted) and requests a
-	// state snapshot from the sequencer; 0 selects a default of 32.
-	RecoveryGap int
 	// AssignBatch bounds the sequencer's assignment window: requests
 	// accumulate into a window of at most AssignBatch and are assigned and
 	// broadcast as one GSNAssignBatch. Values <= 1 are a window of one,
@@ -133,12 +126,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.ChaseInterval <= 0 {
 		c.ChaseInterval = 500 * time.Millisecond
-	}
-	if c.TakeoverTimeout <= 0 {
-		c.TakeoverTimeout = 300 * time.Millisecond
-	}
-	if c.RecoveryGap <= 0 {
-		c.RecoveryGap = 32
 	}
 	if c.LazyInterval <= 0 {
 		c.LazyInterval = 2 * time.Second

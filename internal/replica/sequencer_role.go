@@ -112,12 +112,12 @@ func (g *Gateway) becomeSequencer() {
 			for _, id := range g.livePrimaryPeers() {
 				g.stack.Send(id, consistency.GSNQuery{Epoch: epoch})
 			}
-			g.takeoverDone = g.ctx.SetTimer(g.cfg.TakeoverTimeout, onTimeout)
+			g.takeoverDone = g.ctx.SetTimer(takeoverTimeout, onTimeout)
 			return
 		}
 		g.finishTakeover()
 	}
-	g.takeoverDone = g.ctx.SetTimer(g.cfg.TakeoverTimeout, onTimeout)
+	g.takeoverDone = g.ctx.SetTimer(takeoverTimeout, onTimeout)
 }
 
 func (g *Gateway) onGSNReport(from node.ID, r consistency.GSNReport) {
@@ -419,6 +419,14 @@ func (g *Gateway) onGSNRequest(from node.ID, r consistency.GSNRequest) {
 // liveness is unaffected.
 const maxChasePerTick = 128
 
+// takeoverTimeout bounds one GSNQuery round during sequencer failover.
+const takeoverTimeout = 300 * time.Millisecond
+
+// recoveryGap is the commit-stream gap (my_GSN − my_CSN) beyond which a
+// replica assumes it missed history (e.g. it restarted) and pulls a state
+// snapshot.
+const recoveryGap = 32
+
 // chaseTick periodically re-requests GSN assignments for requests that have
 // been buffered longer than the chase interval.
 func (g *Gateway) chaseTick() {
@@ -456,7 +464,7 @@ func (g *Gateway) chaseTick() {
 	// ahead-but-stuck — a hole whose body and assignment both died with a
 	// crashed sequencer, which no per-request chase can fill.
 	stuck := g.commit.Staleness() > 0 && now.Sub(g.lastCSNAt) > 2*g.cfg.ChaseInterval
-	if g.commit.Staleness() > g.cfg.RecoveryGap || stuck {
+	if g.commit.Staleness() > recoveryGap || stuck {
 		if g.isLeader {
 			// A leader heals from its peers (any primary answers).
 			for _, id := range g.livePrimaryPeers() {
