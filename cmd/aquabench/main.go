@@ -81,19 +81,26 @@ func parseFaults(spec string) (chaos.GenConfig, error) {
 	return cfg, nil
 }
 
-// runChaos executes the chaos sweep and reports per-invariant verdicts; a
-// failing invariant fails the whole command.
-func runChaos(out *os.File, requests int, seed int64, faultSpec string, runs int) error {
-	gen, err := parseFaults(faultSpec)
-	if err != nil {
-		return fmt.Errorf("-faults: %w", err)
+// runChaos executes a chaos sweep — generated faults for "chaos", the
+// ShardChaos preset for "shardchaos" — and reports per-invariant verdicts;
+// a failing run fails the whole command.
+func runChaos(out *os.File, which string, requests int, seed int64, faultSpec string, runs int) error {
+	if runs < 1 {
+		return fmt.Errorf("-chaos-runs %d: want at least 1 run", runs)
 	}
-	if requests > 200 {
-		// Chaos verdicts converge long before the paper's request counts;
-		// cap so '-experiment chaos' stays interactive at the default 1000.
-		requests = 200
+	base := experiment.ShardChaos(seed)
+	if which == "chaos" {
+		gen, err := parseFaults(faultSpec)
+		if err != nil {
+			return fmt.Errorf("-faults: %w", err)
+		}
+		if requests > 200 {
+			// Chaos verdicts converge long before the paper's request counts;
+			// cap so '-experiment chaos' stays interactive at the default 1000.
+			requests = 200
+		}
+		base = experiment.ChaosConfig{Requests: requests, Faults: gen}
 	}
-	base := experiment.ChaosConfig{Requests: requests, Faults: gen}
 	seeds := make([]int64, runs)
 	for i := range seeds {
 		seeds[i] = seed + int64(i)
@@ -103,8 +110,8 @@ func runChaos(out *os.File, requests int, seed int64, faultSpec string, runs int
 		return err
 	}
 	for i := range results {
-		if !results[i].Report.OK() {
-			return fmt.Errorf("chaos: invariant violations at seed %d", results[i].Seed)
+		if !results[i].OK() {
+			return fmt.Errorf("%s: seed %d failed", which, results[i].Seed)
 		}
 	}
 	return nil
@@ -178,30 +185,6 @@ func runRamp(out *os.File, which string, seed int64, shardsSpec, jsonPath string
 		defer f.Close()
 		if err := experiment.WriteRampJSON(f, rep); err != nil {
 			return fmt.Errorf("-json: %w", err)
-		}
-	}
-	return nil
-}
-
-// runShardChaos executes the sharded chaos acceptance scenario across seeded
-// runs; any invariant violation, stalled loop, or failed split fails the
-// whole command.
-func runShardChaos(out *os.File, seed int64, runs int) error {
-	for i := 0; i < runs; i++ {
-		cfg := experiment.ShardChaosConfig{Seed: seed + int64(i)}
-		res := experiment.RunShardChaosPoint(cfg)
-		experiment.WriteShardChaosTable(out, cfg, res)
-		for s := range res.Reports {
-			if !res.Reports[s].OK() {
-				return fmt.Errorf("shardchaos: invariant violations on shard %d at seed %d", s, cfg.Seed)
-			}
-		}
-		if !res.Done {
-			return fmt.Errorf("shardchaos: pinned clients stalled at seed %d", cfg.Seed)
-		}
-		if !res.MoveInstalled || res.MoveValue != "moved" {
-			return fmt.Errorf("shardchaos: live split failed at seed %d (installed=%v, read %q)",
-				cfg.Seed, res.MoveInstalled, res.MoveValue)
 		}
 	}
 	return nil
@@ -367,29 +350,21 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 		experiment.WriteArrivalsTable(out, res)
 		fmt.Fprintln(out)
 	}
-	// Chaos is deliberately excluded from "all": it is a pass/fail protocol
-	// audit, not a paper table, and keeping it out leaves the results file
-	// byte-identical to earlier revisions.
-	if which == "chaos" {
+	// Chaos (unsharded or the sharded preset) is deliberately excluded from
+	// "all": it is a pass/fail protocol audit, not a paper table, and keeping
+	// it out leaves the results file byte-identical to earlier revisions.
+	if which == "chaos" || which == "shardchaos" {
 		ran = true
-		if err := runChaos(out, requests, seed, faultSpec, chaosRuns); err != nil {
+		if err := runChaos(out, which, requests, seed, faultSpec, chaosRuns); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
 	}
-	// The load ramps and shardchaos are likewise excluded from "all":
-	// throughput benchmarks on a different (open-loop) workload and a
-	// protocol audit, not paper tables.
+	// The load ramps are likewise excluded from "all": throughput
+	// benchmarks on a different (open-loop) workload, not paper tables.
 	if _, ok := rampPresets[which]; ok {
 		ran = true
 		if err := runRamp(out, which, seed, shardsSpec, jsonPath, quick); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if which == "shardchaos" {
-		ran = true
-		if err := runShardChaos(out, seed, chaosRuns); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)

@@ -77,13 +77,3 @@ func (sd *ShardedDeployment) Owner(id node.ID) int {
 	}
 	return -1
 }
-
-// NewReplicaGateway rebuilds a fresh gateway for a replica of any shard —
-// the restart hook a chaos injector needs when faults span shards.
-func (sd *ShardedDeployment) NewReplicaGateway(id node.ID) (node.Node, error) {
-	i := sd.Owner(id)
-	if i < 0 {
-		return nil, fmt.Errorf("core: %q is not a replica of any shard", id)
-	}
-	return sd.Shards[i].NewReplicaGateway(id)
-}

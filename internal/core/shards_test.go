@@ -43,14 +43,6 @@ func TestDeployShardsTopology(t *testing.T) {
 	if sd.Owner("c00") != -1 {
 		t.Fatal("non-replica ID mapped to a shard")
 	}
-
-	// Restart hook reaches through to the owning shard.
-	if _, err := sd.NewReplicaGateway("sh1-s01"); err != nil {
-		t.Fatalf("cross-shard replica rebuild: %v", err)
-	}
-	if _, err := sd.NewReplicaGateway("zz"); err == nil {
-		t.Fatal("unknown replica accepted")
-	}
 }
 
 func TestDeployShardsSingleKeepsPlainIDs(t *testing.T) {

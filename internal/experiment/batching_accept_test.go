@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -144,13 +145,12 @@ func TestChaosBatchingFastPathAcceptance(t *testing.T) {
 		Clients:      4,
 		Requests:     80,
 		RequestDelay: 10 * time.Millisecond,
-		ServiceMean:  -1, // no service delay: required by the fast path
+		ServiceMean:  -1, // no service delay: arms the fast path
 		AssignBatch:  64,
 		// A window much longer than the inter-arrival gap keeps a partially
 		// filled batch pending at the sequencer almost continuously, so the
 		// 400ms kill lands mid-batch rather than between flushes.
 		AssignBatchWindow: 20 * time.Millisecond,
-		FastReads:         true,
 		Schedule: chaos.Schedule{
 			{At: 400 * time.Millisecond, Action: chaos.ActCrash, Target: "p00"},
 			{At: 900 * time.Millisecond, Action: chaos.ActRestart, Target: "p00"},
@@ -180,12 +180,8 @@ func TestChaosBatchingFastPathAcceptance(t *testing.T) {
 	if !res.Done {
 		t.Fatalf("clients did not finish: %d requests completed, %d failed", res.Requests, res.Failed)
 	}
-	if !res.Report.OK() {
-		var buf bytes.Buffer
-		res.Report.Write(&buf)
-		t.Fatalf("invariant violations with batching + fast path:\n%s", buf.Bytes())
-	}
-	for _, v := range res.Report.Verdicts {
+	requireCleanReport(t, "batching + fast path", res.Reports[0])
+	for _, v := range res.Reports[0].Verdicts {
 		switch v.Invariant {
 		case "sequential-consistency", "csn-monotonicity", "staleness-bound", "read-your-writes":
 			if v.Checked == 0 {
@@ -207,18 +203,13 @@ func TestChaosBatchingGeneratedSweep(t *testing.T) {
 	}
 	base := ChaosConfig{
 		Requests:          40,
-		ServiceMean:       -1,
+		ServiceMean:       -1, // arms the fast path
 		AssignBatch:       8,
 		AssignBatchWindow: 2 * time.Millisecond,
-		FastReads:         true,
 		Faults:            chaos.GenConfig{Crashes: 2, Partitions: 1, LinkFaults: 2, SequencerKill: true},
 	}
 	for _, res := range RunChaosSweep(base, []int64{1, 2, 3}) {
-		if !res.Report.OK() {
-			var buf bytes.Buffer
-			res.Report.Write(&buf)
-			t.Errorf("seed %d violated invariants under batching:\n%s", res.Seed, buf.Bytes())
-		}
+		requireCleanReport(t, fmt.Sprintf("seed %d under batching", res.Seed), res.Reports[0])
 		if !res.Done {
 			t.Errorf("seed %d: clients did not finish (%d completed, %d failed)", res.Seed, res.Requests, res.Failed)
 		}

@@ -2,6 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,7 +26,28 @@ func TestChaosAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full chaos run in -short mode")
 	}
-	cfg := ChaosConfig{
+	res := RunChaosPoint(chaosAcceptanceConfig())
+	if !res.Done {
+		t.Fatalf("clients did not finish: %d requests completed, %d failed", res.Requests, res.Failed)
+	}
+	requireCleanReport(t, "acceptance", res.Reports[0])
+	// The run must actually exercise the oracles, not pass vacuously.
+	for _, v := range res.Reports[0].Verdicts {
+		switch v.Invariant {
+		case "sequential-consistency", "csn-monotonicity", "staleness-bound", "read-your-writes":
+			if v.Checked == 0 {
+				t.Errorf("invariant %s performed no checks", v.Invariant)
+			}
+		}
+	}
+	if res.Requests == 0 {
+		t.Error("no client requests completed")
+	}
+}
+
+// chaosAcceptanceConfig is TestChaosAcceptance's scenario.
+func chaosAcceptanceConfig() ChaosConfig {
+	return ChaosConfig{
 		Seed: 2002,
 		Schedule: chaos.Schedule{
 			{At: 300 * time.Millisecond, Action: chaos.ActCrash, Target: "s01"},
@@ -34,27 +59,6 @@ func TestChaosAcceptance(t *testing.T) {
 			{At: 2500 * time.Millisecond, Action: chaos.ActCrash, Target: "p00"},
 			{At: 3100 * time.Millisecond, Action: chaos.ActRestart, Target: "p00"},
 		},
-	}
-	res := RunChaosPoint(cfg)
-	if !res.Done {
-		t.Fatalf("clients did not finish: %d requests completed, %d failed", res.Requests, res.Failed)
-	}
-	if !res.Report.OK() {
-		var buf bytes.Buffer
-		res.Report.Write(&buf)
-		t.Fatalf("invariant violations:\n%s", buf.Bytes())
-	}
-	// The run must actually exercise the oracles, not pass vacuously.
-	for _, v := range res.Report.Verdicts {
-		switch v.Invariant {
-		case "sequential-consistency", "csn-monotonicity", "staleness-bound", "read-your-writes":
-			if v.Checked == 0 {
-				t.Errorf("invariant %s performed no checks", v.Invariant)
-			}
-		}
-	}
-	if res.Requests == 0 {
-		t.Error("no client requests completed")
 	}
 }
 
@@ -104,7 +108,7 @@ func TestChaosOracleCatchesReorderBug(t *testing.T) {
 		Requests:     80,
 		RequestDelay: 20 * time.Millisecond,
 	}
-	requireCleanReport(t, "without the swap", RunChaosPoint(cfg).Report)
+	requireCleanReport(t, "without the swap", RunChaosPoint(cfg).Reports[0])
 
 	cfg.Wrap = func(id node.ID, n node.Node) node.Node {
 		if id == "p01" {
@@ -113,37 +117,44 @@ func TestChaosOracleCatchesReorderBug(t *testing.T) {
 		return n
 	}
 	res := RunChaosPoint(cfg)
-	seq := res.Report.Verdicts[0]
+	seq := res.Reports[0].Verdicts[0]
 	if seq.Invariant != "sequential-consistency" {
 		t.Fatalf("verdict order changed: got %q first", seq.Invariant)
 	}
 	if seq.OK() || !strings.Contains(strings.Join(seq.Violations, "\n"), "(order divergence)") {
 		var buf bytes.Buffer
-		res.Report.Write(&buf)
+		res.Reports[0].Write(&buf)
 		t.Fatalf("swapped assignments were not reported as an order divergence (%d events, %d requests):\n%s",
 			res.Events, res.Requests, buf.Bytes())
 	}
 }
 
 // TestChaosSweepParallelismInvariant mirrors TestFig4SweepParallelismInvariant
-// for chaos runs: the same seeds produce byte-identical oracle traces and
-// rendered verdicts whether the sweep runs sequentially or fanned across
-// workers. Under -race in CI this also checks the share-nothing claim.
+// for chaos runs — generated faults on one shard and the ShardChaos preset:
+// the same seeds produce byte-identical oracle traces and rendered verdicts
+// whether the sweep runs sequentially or fanned across workers. Under -race
+// in CI this also checks the share-nothing claim.
 func TestChaosSweepParallelismInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	base := ChaosConfig{
+	requireSweepDeterministic(t, "generated", ChaosConfig{
 		Requests: 40,
 		Faults:   chaos.GenConfig{Crashes: 2, Partitions: 1, LinkFaults: 2, SequencerKill: true},
-	}
-	seeds := []int64{1, 2, 3}
+	}, []int64{1, 2, 3})
+	requireSweepDeterministic(t, "ShardChaos", ShardChaos(0), []int64{1, 2, 3})
+}
 
+// requireSweepDeterministic runs base over seeds at parallelism 1, 2 and
+// GOMAXPROCS and fails unless every level renders the same verdicts and
+// oracle traces, byte for byte.
+func requireSweepDeterministic(t *testing.T, name string, base ChaosConfig, seeds []int64) {
+	t.Helper()
 	render := func(results []ChaosResult) []byte {
 		var buf bytes.Buffer
 		WriteChaosTable(&buf, results)
 		for i := range results {
-			buf.Write(results[i].Trace)
+			buf.Write(bytes.Join(results[i].Traces, nil))
 		}
 		return buf.Bytes()
 	}
@@ -158,8 +169,94 @@ func TestChaosSweepParallelismInvariant(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("parallelism %d changed chaos traces or verdicts", par)
+			t.Fatalf("%s: parallelism %d changed chaos traces or verdicts", name, par)
 		}
+	}
+}
+
+// TestChaosGolden pins the harness byte for byte: each run's WriteChaosTable
+// line and the SHA-256 of its oracle trace must match testdata/chaos.golden,
+// recorded while unsharded runs still deployed through core.Deploy with
+// bare client gateways. Every client now goes through a one-shard
+// shard.Router, so this also holds the router's transparent-shim claim.
+func TestChaosGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos runs in -short mode")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "chaos.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allFaults := chaos.GenConfig{Crashes: 3, Partitions: 2, LinkFaults: 3, SequencerKill: true}
+	cases := []struct {
+		name string
+		cfg  ChaosConfig
+	}{
+		{"acceptance", chaosAcceptanceConfig()},
+		{"generated", ChaosConfig{Seed: 1, Requests: 60, Faults: allFaults}},
+		{"generated", ChaosConfig{Seed: 42, Requests: 60, Faults: allFaults}},
+		{"four-clients", ChaosConfig{Seed: 7, Clients: 4, Requests: 80, RequestDelay: 20 * time.Millisecond}},
+		{"durable", ChaosConfig{Seed: 5, Requests: 60, Durable: true, SnapshotEvery: 8, ReplicatedAssign: true,
+			Faults: chaos.GenConfig{Crashes: 3, SequencerKill: true, RecoverRestarts: true}}},
+		{"batched-fast", ChaosConfig{Seed: 9, Requests: 60, ServiceMean: -1, AssignBatch: 16,
+			AssignBatchWindow: 2 * time.Millisecond, Faults: allFaults}},
+	}
+	var got bytes.Buffer
+	for _, c := range cases {
+		res := RunChaosPoint(c.cfg)
+		var table bytes.Buffer
+		WriteChaosTable(&table, []ChaosResult{res})
+		_, line, _ := bytes.Cut(table.Bytes(), []byte("\n"))
+		fmt.Fprintf(&got, "## %s\n%strace sha256:%x\n", c.name, line, sha256.Sum256(bytes.Join(res.Traces, nil)))
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("chaos runs diverged from the golden:\n--- golden ---\n%s\n--- got ---\n%s", want, got.Bytes())
+	}
+}
+
+// TestShardChaosAcceptance is the sharded fault-tolerance headline, the
+// ShardChaos preset: with shard 0's sequencer killed and restarted mid-run
+// and a live shard split re-homing a key during the outage, every shard's
+// protocol invariants must hold independently, shard 1's clients must keep
+// completing requests while shard 0 recovers, and the moved key must
+// preserve read-your-writes at its new owner.
+func TestShardChaosAcceptance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full shard chaos run in -short mode")
+	}
+	res := RunChaosPoint(ShardChaos(2026))
+	if !res.Done {
+		t.Fatalf("pinned clients did not finish: %d requests completed, %d failed", res.Requests, res.Failed)
+	}
+	if len(res.Reports) != 2 {
+		t.Fatalf("got %d shard reports, want 2", len(res.Reports))
+	}
+	for i, rep := range res.Reports {
+		requireCleanReport(t, fmt.Sprintf("shard %d", i), rep)
+		// Per-shard verdicts must not pass vacuously.
+		for _, v := range rep.Verdicts {
+			switch v.Invariant {
+			case "sequential-consistency", "csn-monotonicity", "read-your-writes":
+				if v.Checked == 0 {
+					t.Errorf("shard %d: invariant %s performed no checks", i, v.Invariant)
+				}
+			}
+		}
+		if len(res.Traces[i]) == 0 {
+			t.Errorf("shard %d produced an empty oracle trace", i)
+		}
+	}
+	// The kill must stay contained: shard 1's clients complete requests
+	// while shard 0's sequencer is down.
+	if res.OutageCompletions == 0 {
+		t.Error("no completions on other shards during shard 0's sequencer outage")
+	}
+	// The live split rode out the failover and kept read-your-writes.
+	if s := res.Split; s == nil || !s.Installed || s.Value != "moved" || s.Owner != 1 {
+		t.Fatalf("split = %+v, want installed with the pre-move write read back from the new owner 1", s)
+	}
+	if !res.OK() {
+		t.Fatal("OK() = false for a clean sharded run")
 	}
 }
 
@@ -180,10 +277,6 @@ func TestChaosGeneratedSchedulePasses(t *testing.T) {
 		if len(res.Schedule) == 0 {
 			t.Fatalf("seed %d: generator produced an empty schedule", seed)
 		}
-		if !res.Report.OK() {
-			var buf bytes.Buffer
-			res.Report.Write(&buf)
-			t.Errorf("seed %d: invariant violations under generated faults:\n%s", seed, buf.Bytes())
-		}
+		requireCleanReport(t, fmt.Sprintf("seed %d under generated faults", seed), res.Reports[0])
 	}
 }

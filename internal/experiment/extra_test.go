@@ -75,8 +75,13 @@ func TestRunWindowSweep(t *testing.T) {
 	if len(res) != 2 || res[0].Window != 5 || res[1].Window != 20 {
 		t.Fatalf("rows = %+v", res)
 	}
-	if res[1].Overhead <= res[0].Overhead {
-		t.Fatalf("window 20 overhead %v not above window 5 %v", res[1].Overhead, res[0].Overhead)
+	// Only that each row measured something: the single-shot wall-clock
+	// ordering of the two windows flips under host load, and
+	// TestFig3OverheadGrowsWithWindow already checks it robustly.
+	for _, r := range res {
+		if r.Overhead <= 0 {
+			t.Fatalf("window %d overhead %v, want > 0", r.Window, r.Overhead)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -79,7 +78,7 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 		ref.Clients = clients
 		ref.Schedule = chaos.Schedule{}
 		r := RunChaosPoint(ref)
-		requireCleanReport(t, "reference", r.Report)
+		requireCleanReport(t, "reference", r.Reports[0])
 		if !r.Done {
 			t.Fatalf("reference run did not finish: %d requests", r.Requests)
 		}
@@ -268,8 +267,8 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 			if !res.Done {
 				t.Fatalf("clients did not finish: %d requests, %d failed", res.Requests, res.Failed)
 			}
-			requireCleanReport(t, tc.name, res.Report)
-			if v := recoveryVerdict(t, res.Report); v.Checked == 0 {
+			requireCleanReport(t, tc.name, res.Reports[0])
+			if v := recoveryVerdict(t, res.Reports[0]); v.Checked == 0 {
 				t.Error("recovery-frontier oracle performed no checks")
 			}
 			for _, id := range tc.recovers {
@@ -316,7 +315,7 @@ func TestRecoveryGeneratedSchedulePasses(t *testing.T) {
 		if len(res.Schedule) == 0 {
 			t.Fatalf("seed %d: generator produced an empty schedule", seed)
 		}
-		requireCleanReport(t, fmt.Sprintf("seed %d", seed), res.Report)
+		requireCleanReport(t, fmt.Sprintf("seed %d", seed), res.Reports[0])
 		if len(res.Recovered) == 0 {
 			t.Errorf("seed %d: no replica recovered durable state", seed)
 		}
@@ -341,30 +340,7 @@ func TestRecoveryChaosSweepParallelismInvariant(t *testing.T) {
 			SequencerKill: true, RecoverRestarts: true,
 		},
 	}
-	seeds := []int64{4, 5, 6}
-
-	render := func(results []ChaosResult) []byte {
-		var buf bytes.Buffer
-		WriteChaosTable(&buf, results)
-		for i := range results {
-			buf.Write(results[i].Trace)
-		}
-		return buf.Bytes()
-	}
-
-	defer SetParallelism(1)
-	var want []byte
-	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		SetParallelism(par)
-		got := render(RunChaosSweep(base, seeds))
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("parallelism %d changed recovery chaos traces or verdicts", par)
-		}
-	}
+	requireSweepDeterministic(t, "recovery", base, []int64{4, 5, 6})
 }
 
 // cutLastRecords returns log without its last n whole records.
@@ -405,7 +381,7 @@ func TestRecoveryOracleCatchesDropTail(t *testing.T) {
 			{At: 2500 * time.Millisecond, Action: chaos.ActRestartRecover, Target: "p01"},
 		},
 	}
-	requireCleanReport(t, "with the log whole", RunChaosPoint(cfg).Report)
+	requireCleanReport(t, "with the log whole", RunChaosPoint(cfg).Reports[0])
 
 	var media *wal.Registry
 	cfg.Mutate = func(d *core.Deployment) { media = d.Media }
@@ -422,10 +398,10 @@ func TestRecoveryOracleCatchesDropTail(t *testing.T) {
 	if res.Recovered["p01"] == 0 {
 		t.Fatal("p01 never recovered — the planted bug was not exercised")
 	}
-	v := recoveryVerdict(t, res.Report)
+	v := recoveryVerdict(t, res.Reports[0])
 	if v.OK() {
 		var buf bytes.Buffer
-		res.Report.Write(&buf)
+		res.Reports[0].Write(&buf)
 		t.Fatalf("planted drop-tail bug was not caught by the recovery-frontier oracle:\n%s", buf.Bytes())
 	}
 }

@@ -60,8 +60,9 @@ type migration struct {
 //
 // With one shard the router is a transparent shim: every message flows
 // through gateway 0 exactly as it would through a bare client.Gateway, so a
-// single-shard deployment reproduces the unsharded runs byte for byte (the
-// pin test in internal/experiment holds this).
+// single-shard deployment reproduces the unsharded runs byte for byte
+// (TestChaosGolden in internal/experiment holds this: every unsharded chaos
+// client is a one-shard router).
 type Router struct {
 	cfg Config
 	ctx node.Context
