@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	aquabench -experiment fig3|fig4a|fig4b|lui|reqdelay|baselines|hotspot|failover|all
+//	aquabench -experiment fig3|fig4a|fig4b|lui|reqdelay|baselines|hotspot|failover|groupsplit|window|estimator|scalability|loss|calibration|arrivals|all
 //	aquabench -experiment fig4a -requests 200   # faster, noisier
 //	aquabench -experiment chaos -chaos-runs 8 -faults crash,partition,link,seqkill
 //	aquabench -experiment loadmax -json loadmax.json
@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		which     = flag.String("experiment", "all", "experiment id: fig3, fig4a, fig4b, lui, reqdelay, baselines, hotspot, failover, calibration, groupsplit, window, estimator, scalability, loss, arrivals, chaos, loadmax, shardmax, shardchaos, all")
+		which     = flag.String("experiment", "all", "experiment id: "+strings.Join(experimentIDs(), ", "))
 		requests  = flag.Int("requests", 1000, "requests per client per run (paper: 1000)")
 		seed      = flag.Int64("seed", 2002, "base random seed")
 		iters     = flag.Int("iters", 2000, "iterations per fig3 measurement point")
@@ -58,6 +58,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(1)
 	}
+}
+
+// experimentIDs lists every -experiment id, the Fig4 studies read from
+// experiment.Studies.
+func experimentIDs() []string {
+	ids := []string{"fig3", "fig4a", "fig4b"}
+	for _, st := range experiment.Studies() {
+		ids = append(ids, st.ID)
+	}
+	return append(ids, "calibration", "arrivals", "chaos", "shardchaos", "loadmax", "shardmax", "all")
 }
 
 // parseFaults maps the -faults comma list onto generator fault rates.
@@ -191,6 +201,15 @@ func runRamp(out *os.File, which string, seed int64, shardsSpec, jsonPath string
 }
 
 func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int, jsonPath string, quick bool, shardsSpec string) error {
+	if !slices.Contains(experimentIDs(), which) {
+		return fmt.Errorf("unknown experiment %q", which)
+	}
+	if requests < 1 {
+		return fmt.Errorf("-requests %d: want at least 1 request", requests)
+	}
+	if iters < 1 {
+		return fmt.Errorf("-iters %d: want at least 1 iteration", iters)
+	}
 	base := experiment.Fig4Config{
 		Seed:     seed,
 		Deadline: 140 * time.Millisecond,
@@ -227,23 +246,7 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 	}
 
 	out := os.Stdout
-	ran := false
-	runFig4 := func() []experiment.Fig4Result {
-		sw := experiment.DefaultFig4Sweep()
-		sw.Base = base
-		return sw.Run()
-	}
-
-	var fig4Cache []experiment.Fig4Result
-	fig4 := func() []experiment.Fig4Result {
-		if fig4Cache == nil {
-			fig4Cache = runFig4()
-		}
-		return fig4Cache
-	}
-
 	if which == "fig3" || which == "all" {
-		ran = true
 		points := experiment.RunFig3(
 			experiment.DefaultFig3ReplicaCounts(),
 			experiment.DefaultFig3Windows(),
@@ -251,101 +254,33 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 		experiment.WriteFig3Table(out, points)
 		fmt.Fprintln(out)
 	}
+	var fig4 []experiment.Fig4Result // one sweep serves both fig4 tables
+	if which == "fig4a" || which == "fig4b" || which == "all" {
+		sw := experiment.DefaultFig4Sweep()
+		sw.Base = base
+		fig4 = sw.Run()
+	}
 	if which == "fig4a" || which == "all" {
-		ran = true
-		experiment.WriteFig4aTable(out, fig4())
+		experiment.WriteFig4aTable(out, fig4)
 		fmt.Fprintln(out)
 	}
 	if which == "fig4b" || which == "all" {
-		ran = true
-		experiment.WriteFig4bTable(out, fig4())
+		experiment.WriteFig4bTable(out, fig4)
 		fmt.Fprintln(out)
 	}
-	if which == "lui" || which == "all" {
-		ran = true
-		luis := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second}
-		res := experiment.RunLUISweep(base, luis)
-		experiment.WriteSweepTable(out,
-			"Extension (§7) — varying the lazy update interval (d=140ms, Pc=0.9)",
-			"LUI", luis, res)
-		fmt.Fprintln(out)
-	}
-	if which == "reqdelay" || which == "all" {
-		ran = true
-		delays := []time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second}
-		res := experiment.RunRequestDelaySweep(base, delays)
-		experiment.WriteSweepTable(out,
-			"Extension (§7) — varying the request delay (d=140ms, Pc=0.9, LUI=2s)",
-			"reqDelay", delays, res)
-		fmt.Fprintln(out)
-	}
-	if which == "baselines" || which == "all" {
-		ran = true
-		res := experiment.RunBaselines(base)
-		experiment.WriteSelectorTable(out,
-			"Ablation — Algorithm 1 vs baseline selectors (d=140ms, Pc=0.9, LUI=2s)", res)
-		fmt.Fprintln(out)
-	}
-	if which == "hotspot" || which == "all" {
-		ran = true
-		res := experiment.RunHotspot(base)
-		experiment.WriteSelectorTable(out,
-			"Ablation — anti-hot-spot (ert) ordering vs greedy best-CDF ordering", res)
-		fmt.Fprintln(out)
-	}
-	if which == "failover" || which == "all" {
-		ran = true
-		res := experiment.RunFailover(base)
-		experiment.WriteFailoverTable(out, res)
-		fmt.Fprintln(out)
-	}
-	if which == "calibration" || which == "all" {
-		ran = true
-		res := experiment.RunCalibration(base, 10)
-		experiment.WriteCalibrationTable(out, res)
-		fmt.Fprintln(out)
-	}
-	if which == "groupsplit" || which == "all" {
-		ran = true
-		res := experiment.RunGroupSplitSweep(base, [][2]int{{2, 8}, {4, 6}, {6, 4}, {8, 2}})
-		experiment.WriteGroupSplitTable(out, res)
-		fmt.Fprintln(out)
-	}
-	if which == "window" || which == "all" {
-		ran = true
-		res := experiment.RunWindowSweep(base, []int{5, 10, 20, 40})
-		experiment.WriteWindowTable(out, res)
-		fmt.Fprintln(out)
-	}
-	if which == "estimator" || which == "all" {
-		ran = true
-		// Stress staleness: long lazy interval, fast clients (high λu) so
-		// the estimators actually diverge.
-		stress := base
-		stress.LUI = 4 * time.Second
-		stress.RequestDelay = 250 * time.Millisecond
-		res := experiment.RunEstimatorAblation(stress)
-		experiment.WriteEstimatorTable(out, res)
-		fmt.Fprintln(out)
-	}
-	if which == "scalability" || which == "all" {
-		ran = true
-		scaled := base
-		if scaled.Requests > 300 {
-			scaled.Requests = 300 // N clients × N requests grows fast
+	for _, st := range experiment.Studies() {
+		if which == st.ID || which == "all" {
+			experiment.WriteStudyTable(out, st, experiment.RunStudy(st, base))
+			fmt.Fprintln(out)
 		}
-		res := experiment.RunScalability(scaled, []int{2, 4, 8, 12, 16})
-		experiment.WriteScalabilityTable(out, res)
-		fmt.Fprintln(out)
-	}
-	if which == "loss" || which == "all" {
-		ran = true
-		res := experiment.RunLossSweep(base, []float64{0, 0.01, 0.05, 0.10})
-		experiment.WriteLossTable(out, res)
-		fmt.Fprintln(out)
+		// Calibration is not a one-axis study, but its table has always
+		// printed between failover's and groupsplit's.
+		if st.ID == "failover" && (which == "calibration" || which == "all") {
+			experiment.WriteCalibrationTable(out, experiment.RunCalibration(base, 10))
+			fmt.Fprintln(out)
+		}
 	}
 	if which == "arrivals" || which == "all" {
-		ran = true
 		res := experiment.RunArrivals(seed, requests/2, requests/2)
 		experiment.WriteArrivalsTable(out, res)
 		fmt.Fprintln(out)
@@ -354,7 +289,6 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 	// "all": it is a pass/fail protocol audit, not a paper table, and keeping
 	// it out leaves the results file byte-identical to earlier revisions.
 	if which == "chaos" || which == "shardchaos" {
-		ran = true
 		if err := runChaos(out, which, requests, seed, faultSpec, chaosRuns); err != nil {
 			return err
 		}
@@ -363,14 +297,10 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 	// The load ramps are likewise excluded from "all": throughput
 	// benchmarks on a different (open-loop) workload, not paper tables.
 	if _, ok := rampPresets[which]; ok {
-		ran = true
 		if err := runRamp(out, which, seed, shardsSpec, jsonPath, quick); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", which)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +42,40 @@ func TestChaosRunsRejectsNonPositive(t *testing.T) {
 			if err := run(which, 60, 2002, 1, "", "", "crash", runs, "", false, ""); err == nil {
 				t.Errorf("-experiment %s -chaos-runs %d accepted", which, runs)
 			}
+		}
+	}
+}
+
+// A count below one measures nothing: -iters 0 used to divide by zero in
+// fig3, -requests 0 silently ran the 1000-request default, and a negative
+// -requests passed a chaos audit that issued no request.
+func TestRunRejectsNonPositiveCounts(t *testing.T) {
+	for _, tc := range []struct {
+		which           string
+		requests, iters int
+	}{
+		{"fig3", 60, 0},
+		{"fig3", 60, -1},
+		{"loss", 0, 1},
+		{"chaos", -3, 1},
+	} {
+		if err := run(tc.which, tc.requests, 2002, tc.iters, "", "", "crash", 1, "", true, ""); err == nil {
+			t.Errorf("-experiment %s -requests %d -iters %d accepted", tc.which, tc.requests, tc.iters)
+		}
+	}
+}
+
+// The package doc names every -experiment id, the studies' read from the
+// one study list, so the doc cannot drift from it.
+func TestDocListsEveryExperiment(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "package main")
+	for _, id := range experimentIDs() {
+		if !strings.Contains(doc, id) {
+			t.Errorf("package doc does not name -experiment %s", id)
 		}
 	}
 }

@@ -35,15 +35,13 @@ func renderWindowOfOne(assignBatch int) []byte {
 		results = append(results, RunFig4Point(cfg))
 	}
 	base.Deadline = 200 * time.Millisecond
-	crash := base
-	crash.Crash = "sequencer"
-	crash.CrashAt = time.Duration(base.Requests) * (base.RequestDelay + 300*time.Millisecond) / 3
+	failover, loss := failoverStudy("sequencer"), lossStudy(0.05)
 
 	var buf bytes.Buffer
 	WriteFig4aTable(&buf, results)
 	WriteFig4bTable(&buf, results)
-	WriteFailoverTable(&buf, []FailoverResult{{Crash: crash.Crash, Fig4Result: RunFig4Point(crash)}})
-	WriteLossTable(&buf, RunLossSweep(base, []float64{0.05}))
+	WriteStudyTable(&buf, failover, RunStudy(failover, base))
+	WriteStudyTable(&buf, loss, RunStudy(loss, base))
 	return buf.Bytes()
 }
 

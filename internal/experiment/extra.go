@@ -29,62 +29,42 @@ func RunCalibration(cfg Fig4Config, buckets int) []CalibrationBucket {
 	if buckets <= 0 {
 		buckets = 5
 	}
-	type obs struct {
-		predicted float64
-	}
-	var pending []obs
 	out := make([]CalibrationBucket, buckets)
-	for i := range out {
-		out[i].Lo = float64(i) / float64(buckets)
-		out[i].Hi = float64(i+1) / float64(buckets)
-	}
 	sumPred := make([]float64, buckets)
 
-	cfg.OnSelect = func(predicted float64, selected int) {
-		pending = append(pending, obs{predicted: predicted})
+	// The measured client runs a closed loop in issue order — one
+	// outstanding read at a time, OnSelect called once per read before its
+	// result — so the i-th prediction belongs to the i-th read's outcome.
+	var predictions []float64
+	cfg.OnSelect = func(predicted float64, _ int) {
+		predictions = append(predictions, predicted)
 	}
-	// The alternating driver calls OnSelect exactly once per read, in issue
-	// order, and the result callback fires in the same order (closed loop:
-	// one outstanding request at a time), so predictions and outcomes pair
-	// by index. We recover outcomes from the run result's failure count per
-	// read via a second hook: reuse the response recording by running the
-	// point and pairing afterwards through the deterministic order.
-	res := runFig4WithOutcomes(cfg, func(i int, timely bool) {
-		if i >= len(pending) {
+	reads := 0
+	cfg.onReadResult = func(respTime time.Duration) {
+		i := reads
+		reads++
+		if i >= len(predictions) {
 			return
 		}
-		p := pending[i].predicted
-		b := int(p * float64(buckets))
-		if b >= buckets {
-			b = buckets - 1
-		}
+		p := predictions[i]
+		b := min(int(p*float64(buckets)), buckets-1)
 		out[b].Reads++
 		sumPred[b] += p
-		if timely {
+		if respTime <= cfg.Deadline {
 			out[b].OnTime++
 		}
-	})
-	_ = res
+	}
+	RunFig4Point(cfg)
 	for i := range out {
-		if out[i].Reads > 0 {
-			out[i].Predicted = sumPred[i] / float64(out[i].Reads)
-			out[i].Observed = float64(out[i].OnTime) / float64(out[i].Reads)
-			out[i].CI = stats.BinomialConfidence(out[i].OnTime, out[i].Reads, 0.95)
+		b := &out[i]
+		b.Lo, b.Hi = float64(i)/float64(buckets), float64(i+1)/float64(buckets)
+		if b.Reads > 0 {
+			b.Predicted = sumPred[i] / float64(b.Reads)
+			b.Observed = float64(b.OnTime) / float64(b.Reads)
+			b.CI = stats.BinomialConfidence(b.OnTime, b.Reads, 0.95)
 		}
 	}
 	return out
-}
-
-// runFig4WithOutcomes runs a Fig4 point and reports, per read index,
-// whether the response met the deadline.
-func runFig4WithOutcomes(cfg Fig4Config, onOutcome func(i int, timely bool)) Fig4Result {
-	idx := 0
-	deadline := cfg.Deadline
-	cfg.onReadResult = func(respTime time.Duration) {
-		onOutcome(idx, respTime <= deadline)
-		idx++
-	}
-	return RunFig4Point(cfg)
 }
 
 // WriteCalibrationTable renders the calibration experiment.
@@ -98,115 +78,5 @@ func WriteCalibrationTable(w io.Writer, buckets []CalibrationBucket) {
 		}
 		fmt.Fprintf(w, "[%.2f,%.2f)    %8d %12.3f %12.3f     [%.3f,%.3f]\n",
 			b.Lo, b.Hi, b.Reads, b.Predicted, b.Observed, b.CI.Lo, b.CI.Hi)
-	}
-}
-
-// GroupSplitResult is one row of the two-level-organization sweep.
-type GroupSplitResult struct {
-	Primaries   int // serving primaries (sequencer extra)
-	Secondaries int
-	Fig4Result
-}
-
-// RunGroupSplitSweep explores §3's tunability claim — "the size of these
-// groups can be tuned to implement a range of consistency semantics" — by
-// sweeping the primary/secondary split at a fixed total of serving
-// replicas.
-func RunGroupSplitSweep(base Fig4Config, splits [][2]int) []GroupSplitResult {
-	return runPoints(splits, func(sp [2]int) GroupSplitResult {
-		cfg := base
-		cfg.Primaries = sp[0]
-		cfg.Secondaries = sp[1]
-		cfg.Seed = base.Seed + int64(sp[0]*100+sp[1])
-		return GroupSplitResult{
-			Primaries:   sp[0],
-			Secondaries: sp[1],
-			Fig4Result:  RunFig4Point(cfg),
-		}
-	})
-}
-
-// WriteGroupSplitTable renders the split sweep.
-func WriteGroupSplitTable(w io.Writer, results []GroupSplitResult) {
-	fmt.Fprintln(w, "Two-level organization — primary/secondary split at 10 serving replicas")
-	fmt.Fprintln(w, "(d=140ms, Pc=0.9, LUI=2s; updates load every primary, reads spread wider)")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-10s %-12s %8s %12s %12s %14s\n",
-		"primaries", "secondaries", "reads", "failureProb", "avgSelected", "meanResp(ms)")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-10d %-12d %8d %12.3f %12.2f %14.1f\n",
-			r.Primaries, r.Secondaries, r.Reads, r.FailureProb, r.AvgSelected,
-			float64(r.MeanResponse.Microseconds())/1000)
-	}
-}
-
-// WindowResult is one row of the sliding-window-size sweep.
-type WindowResult struct {
-	Window int
-	Fig4Result
-	// Overhead is the per-selection cost at this window size (Figure 3's
-	// other axis), measured on the same synthetic setup as fig3.
-	Overhead time.Duration
-}
-
-// RunWindowSweep studies the window-size trade-off the paper describes in
-// §5.2 ("include a reasonable number of recently measured values, while
-// eliminating obsolete measurements"): prediction quality (failure rate)
-// versus selection overhead.
-func RunWindowSweep(base Fig4Config, windows []int) []WindowResult {
-	return runPoints(windows, func(wsize int) WindowResult {
-		cfg := base
-		cfg.WindowSize = wsize
-		cfg.Seed = base.Seed + int64(wsize)
-		r := RunFig4Point(cfg)
-		fp := RunFig3Point(10, wsize, 300, base.Seed)
-		return WindowResult{Window: wsize, Fig4Result: r, Overhead: fp.Overhead}
-	})
-}
-
-// WriteWindowTable renders the window sweep.
-func WriteWindowTable(w io.Writer, results []WindowResult) {
-	fmt.Fprintln(w, "Sliding-window size — prediction quality vs selection overhead")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-8s %8s %12s %12s %14s %14s\n",
-		"window", "reads", "failureProb", "avgSelected", "meanResp(ms)", "overhead(us)")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-8d %8d %12.3f %12.2f %14.1f %14.1f\n",
-			r.Window, r.Reads, r.FailureProb, r.AvgSelected,
-			float64(r.MeanResponse.Microseconds())/1000,
-			float64(r.Overhead.Nanoseconds())/1e3)
-	}
-}
-
-// EstimatorResult is one row of the staleness-estimator ablation.
-type EstimatorResult struct {
-	Name string
-	Fig4Result
-}
-
-// RunEstimatorAblation compares the paper's pure-Poisson staleness factor
-// (Equation 4) against the n_L-anchored counted estimator.
-func RunEstimatorAblation(base Fig4Config) []EstimatorResult {
-	return runPoints([]bool{false, true}, func(counted bool) EstimatorResult {
-		cfg := base
-		cfg.CountedEstimator = counted
-		name := "poisson(eq4)"
-		if counted {
-			name = "counted(nL)"
-		}
-		return EstimatorResult{Name: name, Fig4Result: RunFig4Point(cfg)}
-	})
-}
-
-// WriteEstimatorTable renders the estimator ablation.
-func WriteEstimatorTable(w io.Writer, results []EstimatorResult) {
-	fmt.Fprintln(w, "Staleness estimator — Equation 4 vs n_L-anchored variant")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s %8s %12s %12s %14s\n",
-		"estimator", "reads", "failureProb", "avgSelected", "meanResp(ms)")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-14s %8d %12.3f %12.2f %14.1f\n",
-			r.Name, r.Reads, r.FailureProb, r.AvgSelected,
-			float64(r.MeanResponse.Microseconds())/1000)
 	}
 }

@@ -54,16 +54,16 @@ func TestRunCalibrationModelIsInformative(t *testing.T) {
 func TestRunGroupSplitSweep(t *testing.T) {
 	base := ablationBase()
 	base.Requests = 40
-	res := RunGroupSplitSweep(base, [][2]int{{2, 8}, {8, 2}})
+	res := RunStudy(groupSplitStudy([2]int{2, 8}, [2]int{8, 2}), base)
 	if len(res) != 2 {
 		t.Fatalf("rows = %d", len(res))
 	}
-	if res[0].Primaries != 2 || res[0].Secondaries != 8 {
+	if got := strings.Fields(res[0].Label); len(got) != 2 || got[0] != "2" || got[1] != "8" {
 		t.Fatalf("row0 = %+v", res[0])
 	}
 	for _, r := range res {
 		if !r.Done {
-			t.Fatalf("split %d/%d did not complete", r.Primaries, r.Secondaries)
+			t.Fatalf("split %q did not complete", r.Label)
 		}
 	}
 }
@@ -71,8 +71,8 @@ func TestRunGroupSplitSweep(t *testing.T) {
 func TestRunWindowSweep(t *testing.T) {
 	base := ablationBase()
 	base.Requests = 40
-	res := RunWindowSweep(base, []int{5, 20})
-	if len(res) != 2 || res[0].Window != 5 || res[1].Window != 20 {
+	res := RunStudy(windowStudy(5, 20), base)
+	if len(res) != 2 || res[0].Label != "5" || res[1].Label != "20" {
 		t.Fatalf("rows = %+v", res)
 	}
 	// Only that each row measured something: the single-shot wall-clock
@@ -80,7 +80,7 @@ func TestRunWindowSweep(t *testing.T) {
 	// TestFig3OverheadGrowsWithWindow already checks it robustly.
 	for _, r := range res {
 		if r.Overhead <= 0 {
-			t.Fatalf("window %d overhead %v, want > 0", r.Window, r.Overhead)
+			t.Fatalf("window %s overhead %v, want > 0", r.Label, r.Overhead)
 		}
 	}
 }
@@ -88,13 +88,13 @@ func TestRunWindowSweep(t *testing.T) {
 func TestRunEstimatorAblation(t *testing.T) {
 	base := ablationBase()
 	base.Requests = 40
-	res := RunEstimatorAblation(base)
-	if len(res) != 2 || res[0].Name != "poisson(eq4)" || res[1].Name != "counted(nL)" {
+	res := RunStudy(estimatorStudy(), base)
+	if len(res) != 2 || res[0].Label != "poisson(eq4)" || res[1].Label != "counted(nL)" {
 		t.Fatalf("rows = %+v", res)
 	}
 	for _, r := range res {
 		if !r.Done {
-			t.Fatalf("%s run did not complete", r.Name)
+			t.Fatalf("%s run did not complete", r.Label)
 		}
 	}
 }
@@ -110,20 +110,20 @@ func TestWriteExtraTables(t *testing.T) {
 	}
 
 	sb.Reset()
-	WriteGroupSplitTable(&sb, []GroupSplitResult{{Primaries: 4, Secondaries: 6}})
-	if !strings.Contains(sb.String(), "4") {
+	WriteStudyTable(&sb, groupSplitStudy(), []StudyRow{{Label: "4          6"}})
+	if !strings.Contains(sb.String(), "\n4          6 ") {
 		t.Fatalf("split table:\n%s", sb.String())
 	}
 
 	sb.Reset()
-	WriteWindowTable(&sb, []WindowResult{{Window: 10, Overhead: time.Millisecond}})
-	if !strings.Contains(sb.String(), "1000.0") {
+	WriteStudyTable(&sb, windowStudy(), []StudyRow{{Label: "10", Overhead: time.Millisecond}})
+	if !strings.Contains(sb.String(), "1000.0") || !strings.Contains(headerOf(sb.String()), "overhead(us)") {
 		t.Fatalf("window table:\n%s", sb.String())
 	}
 
 	sb.Reset()
-	WriteEstimatorTable(&sb, []EstimatorResult{{Name: "poisson(eq4)"}})
-	if !strings.Contains(sb.String(), "poisson") {
+	WriteStudyTable(&sb, estimatorStudy(), []StudyRow{{Label: "poisson(eq4)"}})
+	if !strings.Contains(sb.String(), "poisson") || strings.Contains(headerOf(sb.String()), "overhead") {
 		t.Fatalf("estimator table:\n%s", sb.String())
 	}
 }
@@ -131,20 +131,20 @@ func TestWriteExtraTables(t *testing.T) {
 func TestRunScalability(t *testing.T) {
 	base := ablationBase()
 	base.Requests = 30
-	res := RunScalability(base, []int{2, 4})
+	res := RunStudy(scalabilityStudy(2, 4), base)
 	if len(res) != 4 {
 		t.Fatalf("rows = %d", len(res))
 	}
 	for _, r := range res {
 		if !r.Done {
-			t.Fatalf("%s with %d clients did not complete", r.Selector, r.Clients)
+			t.Fatalf("%q did not complete", r.Label)
 		}
 	}
 	// Select-all floods: with 4 clients its mean response time exceeds
 	// Algorithm 1's at the same population.
-	byKey := map[string]ScalabilityResult{}
+	byKey := map[string]StudyRow{}
 	for _, r := range res {
-		byKey[r.Selector+string(rune('0'+r.Clients))] = r
+		byKey[strings.Join(strings.Fields(r.Label), "")] = r
 	}
 	if byKey["all4"].MeanResponse <= byKey["algorithm14"].MeanResponse {
 		t.Logf("note: all=%v alg1=%v (load effect small at this scale)",
@@ -155,29 +155,30 @@ func TestRunScalability(t *testing.T) {
 func TestRunLossSweep(t *testing.T) {
 	base := ablationBase()
 	base.Requests = 30
-	res := RunLossSweep(base, []float64{0, 0.05})
+	res := RunStudy(lossStudy(0, 0.05), base)
 	if len(res) != 2 {
 		t.Fatalf("rows = %d", len(res))
 	}
 	for _, r := range res {
 		if !r.Done {
-			t.Fatalf("loss %.2f run did not complete (ARQ failed)", r.Loss)
+			t.Fatalf("loss %s run did not complete (ARQ failed)", r.Label)
 		}
 		if r.Reads == 0 {
-			t.Fatalf("loss %.2f: no reads", r.Loss)
+			t.Fatalf("loss %s: no reads", r.Label)
 		}
 	}
 }
 
 func TestWriteScalabilityAndLossTables(t *testing.T) {
 	var sb strings.Builder
-	WriteScalabilityTable(&sb, []ScalabilityResult{{Clients: 4, Selector: "all"}})
-	if !strings.Contains(sb.String(), "all") {
+	WriteStudyTable(&sb, scalabilityStudy(), []StudyRow{{Label: "all                 4"}})
+	if !strings.Contains(sb.String(), "all") || !strings.Contains(headerOf(sb.String()), "clients") {
 		t.Fatalf("scalability table:\n%s", sb.String())
 	}
 	sb.Reset()
-	WriteLossTable(&sb, []LossResult{{Loss: 0.05}})
-	if !strings.Contains(sb.String(), "0.05") {
+	WriteStudyTable(&sb, lossStudy(), []StudyRow{{Label: "0.05", Fig4Result: Fig4Result{Done: true}}})
+	if !strings.Contains(sb.String(), "0.05") || !strings.Contains(sb.String(), "true") ||
+		strings.Contains(headerOf(sb.String()), "failures") {
 		t.Fatalf("loss table:\n%s", sb.String())
 	}
 }

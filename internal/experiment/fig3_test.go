@@ -111,23 +111,23 @@ func TestWriteTables(t *testing.T) {
 	}
 
 	sb.Reset()
-	WriteSelectorTable(&sb, "title", []SelectorResult{{
-		Name:       "algorithm1",
+	WriteStudyTable(&sb, baselinesStudy(), []StudyRow{{
+		Label:      "algorithm1",
 		Fig4Result: Fig4Result{Reads: 10, TimingFailures: 1, FailureProb: 0.1, AvgSelected: 3},
 		LoadCV:     0.5,
 	}})
-	if !strings.Contains(sb.String(), "algorithm1") {
+	if want := "algorithm1         10          1        0.100         3.00       0.50            0.0\n"; !strings.HasSuffix(sb.String(), want) {
 		t.Fatalf("selector table:\n%s", sb.String())
 	}
 
 	sb.Reset()
-	WriteFailoverTable(&sb, []FailoverResult{{Crash: "sequencer", Fig4Result: Fig4Result{Done: true}}})
-	if !strings.Contains(sb.String(), "sequencer") {
+	WriteStudyTable(&sb, failoverStudy(), []StudyRow{{Label: "sequencer", Fig4Result: Fig4Result{Done: true}}})
+	if !strings.Contains(sb.String(), "sequencer") || !strings.Contains(sb.String(), "true") {
 		t.Fatalf("failover table:\n%s", sb.String())
 	}
 
 	sb.Reset()
-	WriteSweepTable(&sb, "t", "LUI", []time.Duration{time.Second}, []Fig4Result{{Reads: 5}})
+	WriteStudyTable(&sb, luiStudy(), []StudyRow{{Label: time.Second.String(), Fig4Result: Fig4Result{Reads: 5}}})
 	if !strings.Contains(sb.String(), "1s") {
 		t.Fatalf("sweep table:\n%s", sb.String())
 	}
@@ -137,13 +137,13 @@ func TestCV(t *testing.T) {
 	if got := cv(nil); got != 0 {
 		t.Fatalf("cv(nil) = %v", got)
 	}
-	if got := cv([]float64{5, 5, 5}); got != 0 {
+	if got := cv(map[node.ID]int{"a": 5, "b": 5, "c": 5}); got != 0 {
 		t.Fatalf("cv(const) = %v", got)
 	}
-	if got := cv([]float64{0, 0}); got != 0 {
+	if got := cv(map[node.ID]int{"a": 0, "b": 0}); got != 0 {
 		t.Fatalf("cv(zeros) = %v", got)
 	}
-	if got := cv([]float64{0, 10}); got <= 0.9 {
+	if got := cv(map[node.ID]int{"a": 0, "b": 10}); got <= 0.9 {
 		t.Fatalf("cv(imbalanced) = %v, want ~1", got)
 	}
 }

@@ -91,40 +91,3 @@ func writeFig4Grid(w io.Writer, results []Fig4Result, cell func(Fig4Result) stri
 		fmt.Fprintln(w)
 	}
 }
-
-// WriteSelectorTable renders the baseline/hot-spot ablations.
-func WriteSelectorTable(w io.Writer, title string, results []SelectorResult) {
-	fmt.Fprintln(w, title)
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s %8s %10s %12s %12s %10s %14s\n",
-		"selector", "reads", "failures", "failureProb", "avgSelected", "loadCV", "meanResp(ms)")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-12s %8d %10d %12.3f %12.2f %10.2f %14.1f\n",
-			r.Name, r.Reads, r.TimingFailures, r.FailureProb, r.AvgSelected, r.LoadCV,
-			float64(r.MeanResponse.Microseconds())/1000)
-	}
-}
-
-// WriteFailoverTable renders the crash-injection results.
-func WriteFailoverTable(w io.Writer, results []FailoverResult) {
-	fmt.Fprintln(w, "Failure injection — QoS under a mid-run crash")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s %8s %10s %12s %12s %8s\n",
-		"crash", "reads", "failures", "failureProb", "avgSelected", "done")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-12s %8d %10d %12.3f %12.2f %8v\n",
-			r.Crash, r.Reads, r.TimingFailures, r.FailureProb, r.AvgSelected, r.Done)
-	}
-}
-
-// WriteSweepTable renders a one-variable sweep (LUI or request delay).
-func WriteSweepTable(w io.Writer, title, varName string, values []time.Duration, results []Fig4Result) {
-	fmt.Fprintln(w, title)
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s %8s %12s %12s %14s\n", varName, "reads", "failureProb", "avgSelected", "meanResp(ms)")
-	for i, r := range results {
-		fmt.Fprintf(w, "%-14v %8d %12.3f %12.2f %14.1f\n",
-			values[i], r.Reads, r.FailureProb, r.AvgSelected,
-			float64(r.MeanResponse.Microseconds())/1000)
-	}
-}

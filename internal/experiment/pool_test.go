@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,13 +93,13 @@ func TestRunScalabilityClampsAndDedupesCounts(t *testing.T) {
 	base := Fig4Config{Seed: 7, Requests: 10, Deadline: 140 * time.Millisecond, MinProb: 0.9}
 	// 0, 1, and 2 all clamp to the two mandatory clients; each selector must
 	// run that point once, not three times.
-	res := RunScalability(base, []int{0, 1, 2, 4})
+	res := RunStudy(scalabilityStudy(0, 1, 2, 4), base)
 	if len(res) != 4 { // 2 selectors x {2, 4}
 		t.Fatalf("got %d results, want 4: %+v", len(res), res)
 	}
-	for i, want := range []int{2, 4, 2, 4} {
-		if res[i].Clients != want {
-			t.Fatalf("res[%d].Clients = %d, want %d", i, res[i].Clients, want)
+	for i, want := range []string{"2", "4", "2", "4"} {
+		if f := strings.Fields(res[i].Label); f[len(f)-1] != want {
+			t.Fatalf("res[%d] clients = %q, want %s", i, res[i].Label, want)
 		}
 	}
 }
