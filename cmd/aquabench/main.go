@@ -10,7 +10,9 @@
 //	aquabench -experiment chaos -chaos-runs 8 -faults crash,partition,link,seqkill
 //	aquabench -experiment loadmax -json loadmax.json
 //	aquabench -experiment shardmax -shards 1,2,4 -json shardmax.json
-//	aquabench -experiment shardchaos -chaos-runs 4
+//
+// The chaos experiment runs every row of experiment.ChaosPresets (plain,
+// durable, batched, sharded) in turn.
 package main
 
 import (
@@ -39,8 +41,8 @@ func main() {
 		progress  = flag.Bool("progress", true, "report per-point sweep progress on stderr")
 		obsPath   = flag.String("obs", "", "write an aggregated Prometheus-text metrics snapshot of all runs to this file")
 		tracePath = flag.String("trace", "", "stream per-request JSONL trace spans (run-labelled) to this file")
-		faults    = flag.String("faults", "crash,partition,link,seqkill", "chaos fault kinds to inject (comma list of crash, partition, link, seqkill)")
-		chaosRuns = flag.Int("chaos-runs", 4, "number of seeded chaos runs (seeds seed..seed+n-1)")
+		faults    = flag.String("faults", "crash,partition,link,seqkill", "chaos fault kinds to inject into every generated row (comma list of crash, partition, link, seqkill)")
+		chaosRuns = flag.Int("chaos-runs", 4, "number of seeded chaos runs per row (seeds seed..seed+n-1)")
 		jsonPath  = flag.String("json", "", "also write the loadmax/shardmax report as JSON to this file")
 		quick     = flag.Bool("quick", false, "shrink the loadmax/shardmax ramp for smoke runs (fewer rates, shorter steps)")
 		shards    = flag.String("shards", "", "shard counts for the shardmax ramp, comma list (default 1,2,4)")
@@ -67,62 +69,42 @@ func experimentIDs() []string {
 	for _, st := range experiment.Studies() {
 		ids = append(ids, st.ID)
 	}
-	return append(ids, "calibration", "arrivals", "chaos", "shardchaos", "loadmax", "shardmax", "all")
+	return append(ids, "calibration", "arrivals", "chaos", "loadmax", "shardmax", "all")
 }
 
-// parseFaults maps the -faults comma list onto generator fault rates.
-func parseFaults(spec string) (chaos.GenConfig, error) {
-	var cfg chaos.GenConfig
-	for _, kind := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(kind) {
-		case "":
-		case "crash":
-			cfg.Crashes = 3
-		case "partition":
-			cfg.Partitions = 2
-		case "link":
-			cfg.LinkFaults = 3
-		case "seqkill":
-			cfg.SequencerKill = true
-		default:
-			return cfg, fmt.Errorf("unknown fault kind %q (want crash, partition, link, seqkill)", kind)
-		}
-	}
-	return cfg, nil
-}
-
-// runChaos executes a chaos sweep — generated faults for "chaos", the
-// ShardChaos preset for "shardchaos" — and reports per-invariant verdicts;
-// a failing run fails the whole command.
-func runChaos(out *os.File, which string, requests int, seed int64, faultSpec string, runs int) error {
+// runChaos runs every row of the chaos table in order, each over the seeds
+// seed..seed+runs-1 with the -faults kinds (rows with a fixed schedule
+// ignore them), and reports per-invariant verdicts; a failing run fails the
+// whole command.
+func runChaos(out *os.File, requests int, seed int64, faultSpec string, runs int) error {
 	if runs < 1 {
 		return fmt.Errorf("-chaos-runs %d: want at least 1 run", runs)
 	}
-	base := experiment.ShardChaos(seed)
-	if which == "chaos" {
-		gen, err := parseFaults(faultSpec)
-		if err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-		if requests > 200 {
-			// Chaos verdicts converge long before the paper's request counts;
-			// cap so '-experiment chaos' stays interactive at the default 1000.
-			requests = 200
-		}
-		base = experiment.ChaosConfig{Requests: requests, Faults: gen}
+	faults, err := chaos.ParseFaults(faultSpec)
+	if err != nil {
+		return fmt.Errorf("-faults: %w", err)
 	}
+	// Chaos verdicts converge long before the paper's request counts; cap
+	// so '-experiment chaos' stays interactive at the default 1000.
+	requests = min(requests, 200)
 	seeds := make([]int64, runs)
 	for i := range seeds {
 		seeds[i] = seed + int64(i)
 	}
-	results := experiment.RunChaosSweep(base, seeds)
-	if err := experiment.WriteChaosTable(out, results); err != nil {
-		return err
-	}
-	for i := range results {
-		if !results[i].OK() {
-			return fmt.Errorf("%s: seed %d failed", which, results[i].Seed)
+	var failed []string
+	for _, p := range experiment.ChaosPresets() {
+		results := experiment.RunChaosSweep(p.With(faults, requests), seeds)
+		if err := experiment.WriteChaosTable(out, p.Name, results); err != nil {
+			return err
 		}
+		for i := range results {
+			if !results[i].OK() {
+				failed = append(failed, fmt.Sprintf("%s seed %d", p.Name, results[i].Seed))
+			}
+		}
+	}
+	if failed != nil {
+		return fmt.Errorf("chaos: %s failed", strings.Join(failed, ", "))
 	}
 	return nil
 }
@@ -285,11 +267,11 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 		experiment.WriteArrivalsTable(out, res)
 		fmt.Fprintln(out)
 	}
-	// Chaos (unsharded or the sharded preset) is deliberately excluded from
-	// "all": it is a pass/fail protocol audit, not a paper table, and keeping
-	// it out leaves the results file byte-identical to earlier revisions.
-	if which == "chaos" || which == "shardchaos" {
-		if err := runChaos(out, which, requests, seed, faultSpec, chaosRuns); err != nil {
+	// Chaos is deliberately excluded from "all": it is a pass/fail protocol
+	// audit, not a paper table, and keeping it out leaves the results file
+	// byte-identical to earlier revisions.
+	if which == "chaos" {
+		if err := runChaos(out, requests, seed, faultSpec, chaosRuns); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)

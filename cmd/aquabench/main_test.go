@@ -37,11 +37,9 @@ func TestParseShards(t *testing.T) {
 // A chaos sweep of no runs checks nothing, so a run count below one must be
 // an error — not an empty sweep that exits 0, nor a makeslice panic.
 func TestChaosRunsRejectsNonPositive(t *testing.T) {
-	for _, which := range []string{"chaos", "shardchaos"} {
-		for _, runs := range []int{0, -3} {
-			if err := run(which, 60, 2002, 1, "", "", "crash", runs, "", false, ""); err == nil {
-				t.Errorf("-experiment %s -chaos-runs %d accepted", which, runs)
-			}
+	for _, runs := range []int{0, -3} {
+		if err := run("chaos", 60, 2002, 1, "", "", "crash", runs, "", false, ""); err == nil {
+			t.Errorf("-experiment chaos -chaos-runs %d accepted", runs)
 		}
 	}
 }

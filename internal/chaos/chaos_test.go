@@ -253,3 +253,19 @@ func TestScheduleSortStable(t *testing.T) {
 		t.Fatalf("unexpected order: %v", s)
 	}
 }
+
+// TestParseFaults maps each kind name onto its generator rate and rejects
+// an unknown kind.
+func TestParseFaults(t *testing.T) {
+	got, err := ParseFaults(" crash,link ,seqkill,partition,")
+	want := GenConfig{Crashes: 3, Partitions: 2, LinkFaults: 3, SequencerKill: true}
+	if err != nil || got != want {
+		t.Fatalf("ParseFaults(all kinds) = %+v, %v; want %+v", got, err, want)
+	}
+	if got, err := ParseFaults(""); err != nil || got != (GenConfig{}) {
+		t.Fatalf("ParseFaults(\"\") = %+v, %v; want no faults", got, err)
+	}
+	if _, err := ParseFaults("crash,flood"); err == nil {
+		t.Fatal("ParseFaults accepted an unknown kind")
+	}
+}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"aqua/internal/node"
@@ -36,14 +37,28 @@ type GenConfig struct {
 	// LinkFaults is the number of degraded-link episodes (extra delay,
 	// jitter, loss, duplication) between replica pairs.
 	LinkFaults int
-	// MinDown/MaxDown bound each fault's duration. Zero values default to
-	// Horizon/10 and Horizon/4.
-	MinDown, MaxDown time.Duration
-	// RecoverRestarts swaps every generated restart for a restart_recover
-	// (durable state preserved, replayed at Init). It draws no extra
-	// randomness, so schedules with it off are byte-identical to builds
-	// that predate the knob.
-	RecoverRestarts bool
+}
+
+// ParseFaults maps a comma list of fault kinds — crash, partition, link,
+// seqkill — onto generator fault rates; the Horizon is left to the caller.
+func ParseFaults(spec string) (GenConfig, error) {
+	var cfg GenConfig
+	for _, kind := range strings.Split(spec, ",") {
+		switch strings.TrimSpace(kind) {
+		case "":
+		case "crash":
+			cfg.Crashes = 3
+		case "partition":
+			cfg.Partitions = 2
+		case "link":
+			cfg.LinkFaults = 3
+		case "seqkill":
+			cfg.SequencerKill = true
+		default:
+			return cfg, fmt.Errorf("unknown fault kind %q (want crash, partition, link, seqkill)", kind)
+		}
+	}
+	return cfg, nil
 }
 
 type span struct{ from, to time.Duration }
@@ -78,30 +93,23 @@ func Generate(r *rand.Rand, topo Topology, cfg GenConfig) Schedule {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = time.Second
 	}
-	if cfg.MinDown <= 0 {
-		cfg.MinDown = cfg.Horizon / 10
-	}
-	if cfg.MaxDown <= cfg.MinDown {
-		cfg.MaxDown = cfg.MinDown + cfg.Horizon/4
-	}
+	// Each fault lasts between a tenth of the horizon and that plus a
+	// quarter of it.
+	minDown := cfg.Horizon / 10
+	maxDown := minDown + cfg.Horizon/4
 
 	dur := func() time.Duration {
-		return quantize(cfg.MinDown + time.Duration(r.Int63n(int64(cfg.MaxDown-cfg.MinDown)+1)))
+		return quantize(minDown + time.Duration(r.Int63n(int64(maxDown-minDown)+1)))
 	}
 	begin := func() time.Duration {
 		return quantize(time.Duration(r.Int63n(int64(cfg.Horizon))))
-	}
-
-	restartAct := ActRestart
-	if cfg.RecoverRestarts {
-		restartAct = ActRestartRecover
 	}
 
 	var s Schedule
 	busy := make(map[node.ID][]span) // per-node downtime
 	var primaryDown []span           // any serving-primary/sequencer downtime
 	const placementAttempts = 16     // rejection sampling bound per fault
-	grace := cfg.MaxDown             // slack around a sequencer kill for the takeover round
+	grace := maxDown                 // slack around a sequencer kill for the takeover round
 
 	if cfg.SequencerKill {
 		// Land the kill mid-run so there is traffic both before and after.
@@ -109,7 +117,7 @@ func Generate(r *rand.Rand, topo Topology, cfg GenConfig) Schedule {
 		d := dur()
 		s = append(s,
 			Event{At: at, Action: ActCrash, Target: topo.Sequencer},
-			Event{At: at + d, Action: restartAct, Target: topo.Sequencer},
+			Event{At: at + d, Action: ActRestart, Target: topo.Sequencer},
 		)
 		busy[topo.Sequencer] = append(busy[topo.Sequencer], span{at, at + d})
 		primaryDown = append(primaryDown, span{at - grace, at + d + grace})
@@ -138,7 +146,7 @@ func Generate(r *rand.Rand, topo Topology, cfg GenConfig) Schedule {
 			}
 			s = append(s,
 				Event{At: at, Action: ActCrash, Target: target},
-				Event{At: at + d, Action: restartAct, Target: target},
+				Event{At: at + d, Action: ActRestart, Target: target},
 			)
 			busy[target] = append(busy[target], span{at, at + d})
 			if primary {

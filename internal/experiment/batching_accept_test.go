@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -189,27 +188,5 @@ func TestChaosBatchingFastPathAcceptance(t *testing.T) {
 	}
 	if res.FastServed == 0 {
 		t.Error("fast path armed but no read was served through it")
-	}
-}
-
-// TestChaosBatchingGeneratedSweep fans generated fault schedules (including
-// sequencer kills) over seeds with batching and the fast path on: every
-// seed must satisfy all oracles.
-func TestChaosBatchingGeneratedSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos sweep in -short mode")
-	}
-	base := ChaosConfig{
-		Requests:          40,
-		ServiceMean:       -1, // arms the fast path
-		AssignBatch:       8,
-		AssignBatchWindow: 2 * time.Millisecond,
-		Faults:            chaos.GenConfig{Crashes: 2, Partitions: 1, LinkFaults: 2, SequencerKill: true},
-	}
-	for _, res := range RunChaosSweep(base, []int64{1, 2, 3}) {
-		requireCleanReport(t, fmt.Sprintf("seed %d under batching", res.Seed), res.Reports[0])
-		if !res.Done {
-			t.Errorf("seed %d: clients did not finish (%d completed, %d failed)", res.Seed, res.Requests, res.Failed)
-		}
 	}
 }

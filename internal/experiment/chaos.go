@@ -34,7 +34,8 @@ import (
 // Every run deploys through core.DeployShards and drives every client
 // through a shard.Router. An unsharded run is one shard: the deployment
 // keeps the plain node IDs and the router is a transparent shim over one
-// client gateway. ShardChaos is the sharded preset.
+// client gateway. ChaosPresets names the configurations generated runs
+// use.
 type ChaosConfig struct {
 	Seed int64
 
@@ -91,7 +92,8 @@ type ChaosConfig struct {
 	// Durable gives every replica a WAL + snapshot store; SnapshotEvery is
 	// its compaction threshold (0 = replica default). With Durable on, the
 	// schedule's restart_recover events rebuild replicas from their own
-	// durable media instead of blank state.
+	// durable media instead of blank state, and every generated restart is
+	// a restart_recover.
 	Durable       bool
 	SnapshotEvery int
 
@@ -121,28 +123,58 @@ const (
 	moveTo     = 1
 )
 
-// ShardChaos is the sharded preset: two shards of a sequencer, three
-// serving primaries and two secondaries; four clients, two pinned to each
-// shard; shard 0's sequencer killed at 400ms and restarted at 900ms; and a
-// live split at 600ms — inside the outage, so the copy's source reads must
-// ride out the failover. Its claims: every shard's invariants hold
-// independently, the other shard keeps completing requests through the
-// outage, and the moved key keeps read-your-writes at its new owner.
-func ShardChaos(seed int64) ChaosConfig {
-	return ChaosConfig{
-		Seed:         seed,
-		Shards:       2,
-		Secondaries:  2,
-		Clients:      4,
-		Requests:     60,
-		RequestDelay: 20 * time.Millisecond,
-		ServiceMean:  -1,
-		Schedule: chaos.Schedule{
-			{At: 400 * time.Millisecond, Action: chaos.ActCrash, Target: "sh0-p00"},
-			{At: 900 * time.Millisecond, Action: chaos.ActRestart, Target: "sh0-p00"},
-		},
-		MoveAt: 600 * time.Millisecond,
+// ChaosPreset is one row of the chaos table: a name and the configuration
+// its runs start from. A row sets no seed; generated rows also leave the
+// fault kinds and request count to whoever runs them (With).
+type ChaosPreset struct {
+	Name   string
+	Config ChaosConfig
+}
+
+// ChaosPresets is the chaos table, in the order aquabench runs it. Every
+// generated chaos run — the tier-1 sweep, the ledger, CI — is a row crossed
+// with fault kinds; only hand-placed scenarios build their own ChaosConfig.
+//
+//   - plain: the zero config — the paper's sequencer, no WAL.
+//   - durable: a WAL + snapshot store on every replica and majority-floor
+//     replicated ordering; generated restarts recover from the WAL.
+//   - batched: batched GSN assignment with the frontier-read fast path.
+//   - sharded: two shards of a sequencer, three serving primaries and two
+//     secondaries; four clients, two pinned to each shard; shard 0's
+//     sequencer killed at 400ms and restarted at 900ms; and a live split at
+//     600ms — inside the outage, so the copy's source reads must ride out
+//     the failover. Its fixed schedule ignores fault kinds. Its claims:
+//     every shard's invariants hold independently, the other shard keeps
+//     completing requests through the outage, and the moved key keeps
+//     read-your-writes at its new owner.
+func ChaosPresets() []ChaosPreset {
+	return []ChaosPreset{
+		{"plain", ChaosConfig{}},
+		{"durable", ChaosConfig{Durable: true, SnapshotEvery: 8, ReplicatedAssign: true}},
+		{"batched", ChaosConfig{ServiceMean: -1, AssignBatch: 16, AssignBatchWindow: 2 * time.Millisecond}},
+		{"sharded", ChaosConfig{
+			Shards:       2,
+			Secondaries:  2,
+			Clients:      4,
+			Requests:     60,
+			RequestDelay: 20 * time.Millisecond,
+			ServiceMean:  -1,
+			Schedule: chaos.Schedule{
+				{At: 400 * time.Millisecond, Action: chaos.ActCrash, Target: "sh0-p00"},
+				{At: 900 * time.Millisecond, Action: chaos.ActRestart, Target: "sh0-p00"},
+			},
+			MoveAt: 600 * time.Millisecond,
+		}},
 	}
+}
+
+// With returns the row's configuration with the given fault kinds and
+// request count; a row with a fixed Schedule ignores the faults.
+func (p ChaosPreset) With(faults chaos.GenConfig, requests int) ChaosConfig {
+	cfg := p.Config
+	cfg.Faults = faults
+	cfg.Requests = requests
+	return cfg
 }
 
 // wrapRuntime registers every replica gateway through ChaosConfig.Wrap.
@@ -511,6 +543,13 @@ func RunChaosPoint(cfg ChaosConfig) ChaosResult {
 			Secondaries: d.Secondaries,
 			Clients:     d.ClientIDs,
 		}, cfg.Faults)
+		if cfg.Durable {
+			for i := range sched {
+				if sched[i].Action == chaos.ActRestart {
+					sched[i].Action = chaos.ActRestartRecover
+				}
+			}
+		}
 	}
 	restart := func(recovered bool) func(node.ID) (node.Node, error) {
 		return func(id node.ID) (node.Node, error) {
@@ -601,13 +640,14 @@ func RunChaosSweep(base ChaosConfig, seeds []int64) []ChaosResult {
 	return runPoints(points, RunChaosPoint)
 }
 
-// WriteChaosTable renders a sweep's verdicts, one line per seed, with the
-// full per-invariant report for any failing run. A sharded run's line adds
+// WriteChaosTable renders a sweep of the named row's verdicts, one line per
+// seed, with the full per-invariant report for any failing run. A sharded
+// run's line adds
 // its shard count and outage completions, a split run's line the split's
 // outcome, and a failing report is headed by its shard. Output is
 // deterministic.
-func WriteChaosTable(w io.Writer, results []ChaosResult) error {
-	if _, err := fmt.Fprintf(w, "# chaos sweep: %d runs\n", len(results)); err != nil {
+func WriteChaosTable(w io.Writer, name string, results []ChaosResult) error {
+	if _, err := fmt.Fprintf(w, "# chaos sweep %s: %d runs\n", name, len(results)); err != nil {
 		return err
 	}
 	for i := range results {

@@ -130,19 +130,42 @@ func TestChaosOracleCatchesReorderBug(t *testing.T) {
 }
 
 // TestChaosSweepParallelismInvariant mirrors TestFig4SweepParallelismInvariant
-// for chaos runs — generated faults on one shard and the ShardChaos preset:
-// the same seeds produce byte-identical oracle traces and rendered verdicts
-// whether the sweep runs sequentially or fanned across workers. Under -race
-// in CI this also checks the share-nothing claim.
+// for chaos runs, over every row of the chaos table with all four fault
+// kinds: the same seeds produce byte-identical oracle traces and rendered
+// verdicts whether the sweep runs sequentially or fanned across workers.
+// Under -race in CI this also checks the share-nothing claim, durability
+// and shards included.
 func TestChaosSweepParallelismInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	requireSweepDeterministic(t, "generated", ChaosConfig{
-		Requests: 40,
-		Faults:   chaos.GenConfig{Crashes: 2, Partitions: 1, LinkFaults: 2, SequencerKill: true},
-	}, []int64{1, 2, 3})
-	requireSweepDeterministic(t, "ShardChaos", ShardChaos(0), []int64{1, 2, 3})
+	for _, p := range ChaosPresets() {
+		requireSweepDeterministic(t, p.Name, p.With(parseFaults(t, allFaultKinds), 40), []int64{1, 2, 3})
+	}
+}
+
+// allFaultKinds names all four fault kinds.
+const allFaultKinds = "crash,partition,link,seqkill"
+
+func parseFaults(t *testing.T, spec string) chaos.GenConfig {
+	t.Helper()
+	faults, err := chaos.ParseFaults(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faults
+}
+
+// chaosPreset returns the named row of the chaos table.
+func chaosPreset(t *testing.T, name string) ChaosPreset {
+	t.Helper()
+	for _, p := range ChaosPresets() {
+		if p.Name == name {
+			return p
+		}
+	}
+	t.Fatalf("no chaos preset %q", name)
+	return ChaosPreset{}
 }
 
 // requireSweepDeterministic runs base over seeds at parallelism 1, 2 and
@@ -152,7 +175,7 @@ func requireSweepDeterministic(t *testing.T, name string, base ChaosConfig, seed
 	t.Helper()
 	render := func(results []ChaosResult) []byte {
 		var buf bytes.Buffer
-		WriteChaosTable(&buf, results)
+		WriteChaosTable(&buf, name, results)
 		for i := range results {
 			buf.Write(bytes.Join(results[i].Traces, nil))
 		}
@@ -178,7 +201,9 @@ func requireSweepDeterministic(t *testing.T, name string, base ChaosConfig, seed
 // line and the SHA-256 of its oracle trace must match testdata/chaos.golden,
 // recorded while unsharded runs still deployed through core.Deploy with
 // bare client gateways. Every client now goes through a one-shard
-// shard.Router, so this also holds the router's transparent-shim claim.
+// shard.Router, so this also holds the router's transparent-shim claim; and
+// the generated runs are rows of the chaos table, so it holds each row to
+// the hand-built config it replaced.
 func TestChaosGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos runs in -short mode")
@@ -187,25 +212,27 @@ func TestChaosGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allFaults := chaos.GenConfig{Crashes: 3, Partitions: 2, LinkFaults: 3, SequencerKill: true}
+	row := func(name, faults string, seed int64) ChaosConfig {
+		cfg := chaosPreset(t, name).With(parseFaults(t, faults), 60)
+		cfg.Seed = seed
+		return cfg
+	}
 	cases := []struct {
 		name string
 		cfg  ChaosConfig
 	}{
 		{"acceptance", chaosAcceptanceConfig()},
-		{"generated", ChaosConfig{Seed: 1, Requests: 60, Faults: allFaults}},
-		{"generated", ChaosConfig{Seed: 42, Requests: 60, Faults: allFaults}},
+		{"generated", row("plain", allFaultKinds, 1)},
+		{"generated", row("plain", allFaultKinds, 42)},
 		{"four-clients", ChaosConfig{Seed: 7, Clients: 4, Requests: 80, RequestDelay: 20 * time.Millisecond}},
-		{"durable", ChaosConfig{Seed: 5, Requests: 60, Durable: true, SnapshotEvery: 8, ReplicatedAssign: true,
-			Faults: chaos.GenConfig{Crashes: 3, SequencerKill: true, RecoverRestarts: true}}},
-		{"batched-fast", ChaosConfig{Seed: 9, Requests: 60, ServiceMean: -1, AssignBatch: 16,
-			AssignBatchWindow: 2 * time.Millisecond, Faults: allFaults}},
+		{"durable", row("durable", "crash,seqkill", 5)},
+		{"batched-fast", row("batched", allFaultKinds, 9)},
 	}
 	var got bytes.Buffer
 	for _, c := range cases {
 		res := RunChaosPoint(c.cfg)
 		var table bytes.Buffer
-		WriteChaosTable(&table, []ChaosResult{res})
+		WriteChaosTable(&table, c.name, []ChaosResult{res})
 		_, line, _ := bytes.Cut(table.Bytes(), []byte("\n"))
 		fmt.Fprintf(&got, "## %s\n%strace sha256:%x\n", c.name, line, sha256.Sum256(bytes.Join(res.Traces, nil)))
 	}
@@ -215,7 +242,7 @@ func TestChaosGolden(t *testing.T) {
 }
 
 // TestShardChaosAcceptance is the sharded fault-tolerance headline, the
-// ShardChaos preset: with shard 0's sequencer killed and restarted mid-run
+// sharded row of the chaos table: with shard 0's sequencer killed and restarted mid-run
 // and a live shard split re-homing a key during the outage, every shard's
 // protocol invariants must hold independently, shard 1's clients must keep
 // completing requests while shard 0 recovers, and the moved key must
@@ -224,7 +251,9 @@ func TestShardChaosAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full shard chaos run in -short mode")
 	}
-	res := RunChaosPoint(ShardChaos(2026))
+	cfg := chaosPreset(t, "sharded").Config
+	cfg.Seed = 2026
+	res := RunChaosPoint(cfg)
 	if !res.Done {
 		t.Fatalf("pinned clients did not finish: %d requests completed, %d failed", res.Requests, res.Failed)
 	}
@@ -257,26 +286,5 @@ func TestShardChaosAcceptance(t *testing.T) {
 	}
 	if !res.OK() {
 		t.Fatal("OK() = false for a clean sharded run")
-	}
-}
-
-// TestChaosGeneratedSchedulePasses runs the random generator end to end:
-// whatever scenario it emits within its guard rails, the protocol must
-// satisfy every invariant.
-func TestChaosGeneratedSchedulePasses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full chaos run in -short mode")
-	}
-	for _, seed := range []int64{11, 42} {
-		cfg := ChaosConfig{
-			Seed:     seed,
-			Requests: 60,
-			Faults:   chaos.GenConfig{Crashes: 3, Partitions: 2, LinkFaults: 3, SequencerKill: true},
-		}
-		res := RunChaosPoint(cfg)
-		if len(res.Schedule) == 0 {
-			t.Fatalf("seed %d: generator produced an empty schedule", seed)
-		}
-		requireCleanReport(t, fmt.Sprintf("seed %d under generated faults", seed), res.Reports[0])
 	}
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -289,58 +288,6 @@ func TestRecoveryAdversarialSchedules(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRecoveryGeneratedSchedulePasses runs the random generator with
-// recovery restarts swapped in for every restart: whatever crash placement
-// it emits, all six invariants must hold and at least one replica must
-// have actually replayed durable state.
-func TestRecoveryGeneratedSchedulePasses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full chaos runs in -short mode")
-	}
-	for _, seed := range []int64{19, 73} {
-		cfg := ChaosConfig{
-			Seed:             seed,
-			Requests:         60,
-			Durable:          true,
-			SnapshotEvery:    8,
-			ReplicatedAssign: true,
-			Faults: chaos.GenConfig{
-				Crashes: 3, Partitions: 1, LinkFaults: 2,
-				SequencerKill: true, RecoverRestarts: true,
-			},
-		}
-		res := RunChaosPoint(cfg)
-		if len(res.Schedule) == 0 {
-			t.Fatalf("seed %d: generator produced an empty schedule", seed)
-		}
-		requireCleanReport(t, fmt.Sprintf("seed %d", seed), res.Reports[0])
-		if len(res.Recovered) == 0 {
-			t.Errorf("seed %d: no replica recovered durable state", seed)
-		}
-	}
-}
-
-// TestRecoveryChaosSweepParallelismInvariant mirrors the PR-5 determinism
-// pin for the durable configuration: same seeds, same oracle traces and
-// verdicts, whether the sweep runs sequentially or fanned across workers.
-// Under -race in CI this also checks durability shares nothing across runs.
-func TestRecoveryChaosSweepParallelismInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos sweep in -short mode")
-	}
-	base := ChaosConfig{
-		Requests:         40,
-		Durable:          true,
-		SnapshotEvery:    8,
-		ReplicatedAssign: true,
-		Faults: chaos.GenConfig{
-			Crashes: 2, Partitions: 1, LinkFaults: 2,
-			SequencerKill: true, RecoverRestarts: true,
-		},
-	}
-	requireSweepDeterministic(t, "recovery", base, []int64{4, 5, 6})
 }
 
 // cutLastRecords returns log without its last n whole records.
