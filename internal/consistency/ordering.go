@@ -39,7 +39,9 @@ func NewOrderTracker(groupSize int) *OrderTracker {
 // Quorum returns the majority size the tracker requires.
 func (t *OrderTracker) Quorum() int { return t.quorum }
 
-// Observe folds a peer's acknowledged assignment frontier. Stale (lower)
+// Observe folds a follower's acknowledged assignment frontier; the
+// sequencer's own frontier is Floor's self and is never observed, or it
+// would count twice toward the quorum. Stale (lower)
 // acks are ignored: frontiers are monotone per incarnation, and a restarted
 // peer's genuinely lower frontier only matters for floors not yet released —
 // which Floor's own monotonicity already protects.

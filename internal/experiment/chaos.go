@@ -34,8 +34,7 @@ import (
 // Every run deploys through core.DeployShards and drives every client
 // through a shard.Router. An unsharded run is one shard: the deployment
 // keeps the plain node IDs and the router is a transparent shim over one
-// client gateway. ChaosPresets names the configurations generated runs
-// use.
+// client gateway. Generated runs start from a row of ChaosPresets.
 type ChaosConfig struct {
 	Seed int64
 
@@ -124,29 +123,23 @@ const (
 )
 
 // ChaosPreset is one row of the chaos table: a name and the configuration
-// its runs start from. A row sets no seed; generated rows also leave the
-// fault kinds and request count to whoever runs them (With).
+// its runs start from, crossed with fault kinds by With.
 type ChaosPreset struct {
 	Name   string
 	Config ChaosConfig
 }
 
-// ChaosPresets is the chaos table, in the order aquabench runs it. Every
-// generated chaos run — the tier-1 sweep, the ledger, CI — is a row crossed
-// with fault kinds; only hand-placed scenarios build their own ChaosConfig.
+// ChaosPresets is the chaos table, in the order aquabench runs it: plain
+// (the paper's sequencer), durable (WAL + replicated ordering; generated
+// restarts recover), batched (batched assignment + fast reads), and sharded.
+// Only hand-placed scenarios build their own ChaosConfig.
 //
-//   - plain: the zero config — the paper's sequencer, no WAL.
-//   - durable: a WAL + snapshot store on every replica and majority-floor
-//     replicated ordering; generated restarts recover from the WAL.
-//   - batched: batched GSN assignment with the frontier-read fast path.
-//   - sharded: two shards of a sequencer, three serving primaries and two
-//     secondaries; four clients, two pinned to each shard; shard 0's
-//     sequencer killed at 400ms and restarted at 900ms; and a live split at
-//     600ms — inside the outage, so the copy's source reads must ride out
-//     the failover. Its fixed schedule ignores fault kinds. Its claims:
-//     every shard's invariants hold independently, the other shard keeps
-//     completing requests through the outage, and the moved key keeps
-//     read-your-writes at its new owner.
+// The sharded row's fixed schedule ignores fault kinds: two shards of a
+// sequencer, three serving primaries and two secondaries, two clients
+// pinned to each; shard 0's sequencer down 400–900ms and a live split at
+// 600ms, inside the outage. Its claims: every shard's invariants hold
+// independently, the other shard keeps completing requests through the
+// outage, and the moved key keeps read-your-writes at its new owner.
 func ChaosPresets() []ChaosPreset {
 	return []ChaosPreset{
 		{"plain", ChaosConfig{}},
@@ -171,10 +164,8 @@ func ChaosPresets() []ChaosPreset {
 // With returns the row's configuration with the given fault kinds and
 // request count; a row with a fixed Schedule ignores the faults.
 func (p ChaosPreset) With(faults chaos.GenConfig, requests int) ChaosConfig {
-	cfg := p.Config
-	cfg.Faults = faults
-	cfg.Requests = requests
-	return cfg
+	p.Config.Faults, p.Config.Requests = faults, requests
+	return p.Config
 }
 
 // wrapRuntime registers every replica gateway through ChaosConfig.Wrap.
@@ -543,11 +534,9 @@ func RunChaosPoint(cfg ChaosConfig) ChaosResult {
 			Secondaries: d.Secondaries,
 			Clients:     d.ClientIDs,
 		}, cfg.Faults)
-		if cfg.Durable {
-			for i := range sched {
-				if sched[i].Action == chaos.ActRestart {
-					sched[i].Action = chaos.ActRestartRecover
-				}
+		for i := range sched {
+			if cfg.Durable && sched[i].Action == chaos.ActRestart {
+				sched[i].Action = chaos.ActRestartRecover
 			}
 		}
 	}
@@ -627,60 +616,49 @@ func RunChaosPoint(cfg ChaosConfig) ChaosResult {
 	return res
 }
 
-// RunChaosSweep runs one chaos point per seed, fanned across the package's
-// worker pool like every other sweep. Each point is self-contained, so
-// results are identical at any parallelism.
-func RunChaosSweep(base ChaosConfig, seeds []int64) []ChaosResult {
-	points := make([]ChaosConfig, len(seeds))
-	for i, seed := range seeds {
-		p := base
-		p.Seed = seed
-		points[i] = p
+// RunChaosSweep runs base at seeds seed..seed+runs-1, fanned across the
+// package's worker pool like every other sweep. Each point is
+// self-contained, so results are identical at any parallelism.
+func RunChaosSweep(base ChaosConfig, seed int64, runs int) []ChaosResult {
+	points := make([]ChaosConfig, runs)
+	for i := range points {
+		points[i] = base
+		points[i].Seed = seed + int64(i)
 	}
 	return runPoints(points, RunChaosPoint)
 }
 
 // WriteChaosTable renders a sweep of the named row's verdicts, one line per
 // seed, with the full per-invariant report for any failing run. A sharded
-// run's line adds
-// its shard count and outage completions, a split run's line the split's
-// outcome, and a failing report is headed by its shard. Output is
-// deterministic.
-func WriteChaosTable(w io.Writer, name string, results []ChaosResult) error {
-	if _, err := fmt.Fprintf(w, "# chaos sweep %s: %d runs\n", name, len(results)); err != nil {
-		return err
-	}
+// run's line adds its shard count and outage completions, a split run's
+// line the split's outcome, and a failing report is headed by its shard.
+// Output is deterministic.
+func WriteChaosTable(w io.Writer, name string, results []ChaosResult) {
+	fmt.Fprintf(w, "# chaos sweep %s: %d runs\n", name, len(results))
 	for i := range results {
 		r := &results[i]
 		status := "PASS"
 		if !r.OK() {
 			status = "FAIL"
 		}
-		line := fmt.Sprintf("seed=%-6d %s faults=%d requests=%d failed=%d events=%d done=%t",
+		fmt.Fprintf(w, "seed=%-6d %s faults=%d requests=%d failed=%d events=%d done=%t",
 			r.Seed, status, len(r.Schedule), r.Requests, r.Failed, r.Events, r.Done)
 		sharded := len(r.Reports) > 1
 		if sharded {
-			line += fmt.Sprintf(" shards=%d outage=%d", len(r.Reports), r.OutageCompletions)
+			fmt.Fprintf(w, " shards=%d outage=%d", len(r.Reports), r.OutageCompletions)
 		}
 		if r.Split != nil {
-			line += fmt.Sprintf(" split=%t read=%q@shard%d", r.Split.Installed, r.Split.Value, r.Split.Owner)
+			fmt.Fprintf(w, " split=%t read=%q@shard%d", r.Split.Installed, r.Split.Value, r.Split.Owner)
 		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
+		fmt.Fprintln(w)
 		for s := range r.Reports {
 			if r.Reports[s].OK() {
 				continue
 			}
 			if sharded {
-				if _, err := fmt.Fprintf(w, "shard %d:\n", s); err != nil {
-					return err
-				}
+				fmt.Fprintf(w, "shard %d:\n", s)
 			}
-			if err := r.Reports[s].Write(w); err != nil {
-				return err
-			}
+			r.Reports[s].Write(w)
 		}
 	}
-	return nil
 }

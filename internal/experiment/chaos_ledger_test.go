@@ -127,14 +127,10 @@ func TestChaosPresetSweep(t *testing.T) {
 	for _, l := range readLedger(t) {
 		pinned[l.key()] = l.result
 	}
-	seeds := make([]int64, 100)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
 	defer SetParallelism(Parallelism())
 	SetParallelism(0)
 	for _, p := range ChaosPresets() {
-		for _, res := range RunChaosSweep(p.With(parseFaults(t, allFaultKinds), requests), seeds) {
+		for _, res := range RunChaosSweep(p.With(parseFaults(t, allFaultKinds), requests), 1, 100) {
 			name := fmt.Sprintf("%s seed %d", p.Name, res.Seed)
 			want, ok := pinned[ledgerKey{p.Name, allFaultKinds, requests, res.Seed}]
 			if !ok {

@@ -140,7 +140,7 @@ func TestChaosSweepParallelismInvariant(t *testing.T) {
 		t.Skip("chaos sweep in -short mode")
 	}
 	for _, p := range ChaosPresets() {
-		requireSweepDeterministic(t, p.Name, p.With(parseFaults(t, allFaultKinds), 40), []int64{1, 2, 3})
+		requireSweepDeterministic(t, p.Name, p.With(parseFaults(t, allFaultKinds), 40), 1, 3)
 	}
 }
 
@@ -168,10 +168,10 @@ func chaosPreset(t *testing.T, name string) ChaosPreset {
 	return ChaosPreset{}
 }
 
-// requireSweepDeterministic runs base over seeds at parallelism 1, 2 and
-// GOMAXPROCS and fails unless every level renders the same verdicts and
-// oracle traces, byte for byte.
-func requireSweepDeterministic(t *testing.T, name string, base ChaosConfig, seeds []int64) {
+// requireSweepDeterministic runs base over seeds seed..seed+runs-1 at
+// parallelism 1, 2 and GOMAXPROCS and fails unless every level renders the
+// same verdicts and oracle traces, byte for byte.
+func requireSweepDeterministic(t *testing.T, name string, base ChaosConfig, seed int64, runs int) {
 	t.Helper()
 	render := func(results []ChaosResult) []byte {
 		var buf bytes.Buffer
@@ -186,7 +186,7 @@ func requireSweepDeterministic(t *testing.T, name string, base ChaosConfig, seed
 	var want []byte
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		SetParallelism(par)
-		got := render(RunChaosSweep(base, seeds))
+		got := render(RunChaosSweep(base, seed, runs))
 		if want == nil {
 			want = got
 			continue

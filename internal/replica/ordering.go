@@ -15,8 +15,9 @@ import (
 // assignment hole behind anything the application observed.
 
 // maybeAckAssigns runs after any event that can extend this primary's
-// contiguous assignment frontier: fold it into the leader's tracker
-// directly (when sequencing) or acknowledge it to the sequencer. An ack is
+// contiguous assignment frontier: re-evaluate the floor (when sequencing —
+// the tracker takes the leader's own frontier as Floor's self, so the
+// leader is counted once) or acknowledge it to the sequencer. An ack is
 // a durable promise — on a durable replica the assignments are WAL-logged
 // first and the acked frontier never exceeds what the log holds, so the
 // frontier survives this node's own crash-recovery (the takeover-quorum
@@ -27,11 +28,12 @@ func (g *Gateway) maybeAckAssigns() {
 		return
 	}
 	g.walLogAssigns()
-	f := g.ackableFrontier()
 	if g.isLeader {
-		g.orderObserve(g.ctx.ID(), f)
+		g.ensureOrderTracker()
+		g.maybeOrderCommit()
 		return
 	}
+	f := g.ackableFrontier()
 	if f <= g.lastAckedFrontier {
 		return
 	}
@@ -54,14 +56,19 @@ func (g *Gateway) onAssignAck(from node.ID, a consistency.AssignAck) {
 	g.orderObserve(from, a.Frontier)
 }
 
-// orderObserve updates one member's acked frontier and re-evaluates the
-// majority floor. The tracker is created lazily per sequencer era.
+// orderObserve updates one follower's acked frontier and re-evaluates the
+// majority floor.
 func (g *Gateway) orderObserve(peer node.ID, frontier uint64) {
+	g.ensureOrderTracker()
+	g.orderTracker.Observe(peer, frontier)
+	g.maybeOrderCommit()
+}
+
+// ensureOrderTracker creates the tracker lazily, once per sequencer era.
+func (g *Gateway) ensureOrderTracker() {
 	if g.orderTracker == nil {
 		g.orderTracker = consistency.NewOrderTracker(len(g.cfg.PrimaryGroup))
 	}
-	g.orderTracker.Observe(peer, frontier)
-	g.maybeOrderCommit()
 }
 
 // maybeOrderCommit recomputes the majority floor and, when it rises,

@@ -263,6 +263,42 @@ func TestFloorRebroadcastAfterLostOrderCommit(t *testing.T) {
 	}
 }
 
+// TestLeaderCountedOnceInFloor is the 1(a) regression: the majority floor
+// counts the sequencer's own frontier once. Cut off from both followers, a
+// sequencer of a three-member group holds update 3's assignment alone —
+// one of three, below the quorum of two — so it must not release it; once
+// the partition heals and a follower acks, it must.
+func TestLeaderCountedOnceInFloor(t *testing.T) {
+	const lazy = 30 * time.Second
+	dtb := newDurableTestbed(42, lazy)
+	dtb.rt.Start()
+	dtb.s.RunFor(200 * ms)
+
+	for i := uint64(1); i <= 2; i++ {
+		dtb.update(i, fmt.Sprintf("k%d=%d", i, i))
+	}
+	dtb.s.RunFor(400 * ms)
+	p0 := dtb.replicas["p0"]
+	if got := p0.CSN(); got != 2 {
+		t.Fatalf("pre-partition p0 CSN = %d, want 2", got)
+	}
+
+	// The window stays under the failure detector's timeout, so no view
+	// change intervenes: p0 stays sequencer and keeps the body from cli.
+	dtb.loss.m = netsim.NewPartition([]node.ID{"p0"}, []node.ID{"p1", "p2"})
+	dtb.update(3, "k3=3")
+	dtb.s.RunFor(600 * ms)
+	if got := p0.CSN(); got != 2 {
+		t.Fatalf("isolated sequencer p0 CSN = %d, want 2 (released on its own frontier alone)", got)
+	}
+	dtb.loss.m = nil // heal
+
+	dtb.s.RunFor(1500 * ms)
+	if got := p0.CSN(); got != 3 {
+		t.Fatalf("p0 CSN = %d after heal, want 3", got)
+	}
+}
+
 // TestWALFailureWedgesReplica is the finding-4 regression: a durable
 // replica whose WAL append fails must fail stop — no further applies, no
 // acks, no participation — rather than keep serving with a permanently
