@@ -84,10 +84,12 @@ func runChaos(out *os.File, requests int, seed int64, faultSpec string, runs int
 	// Chaos verdicts converge long before the paper's request counts; cap
 	// so '-experiment chaos' stays interactive at the default 1000.
 	requests = min(requests, 200)
-	failed := 0
-	for _, p := range experiment.ChaosPresets() {
+	presets, failed := experiment.ChaosPresets(), 0
+	for _, p := range presets {
 		results := experiment.RunChaosSweep(p.With(faults, requests), seed, runs)
-		experiment.WriteChaosTable(out, p.Name, results)
+		if err := experiment.WriteChaosTable(out, p.Name, results); err != nil {
+			return err
+		}
 		for i := range results {
 			if !results[i].OK() {
 				failed++
@@ -95,7 +97,7 @@ func runChaos(out *os.File, requests int, seed int64, faultSpec string, runs int
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("chaos: %d runs failed", failed)
+		return fmt.Errorf("chaos: %d of %d runs failed", failed, runs*len(presets))
 	}
 	return nil
 }

@@ -150,28 +150,20 @@ func (in *Injector) apply(ev Event) {
 		if in.Obs != nil {
 			in.Obs.Crash(ev.Target)
 		}
-	case ActRestart:
-		if in.Fresh == nil {
-			panic("chaos: schedule contains a restart but Injector.Fresh is nil")
+	case ActRestart, ActRestartRecover:
+		fresh, field := in.Fresh, "Fresh"
+		if ev.Action == ActRestartRecover {
+			fresh, field = in.FreshRecovered, "FreshRecovered"
 		}
-		n, err := in.Fresh(ev.Target)
+		if fresh == nil {
+			panic(fmt.Sprintf("chaos: schedule contains a %s but Injector.%s is nil", ev.Action, field))
+		}
+		n, err := fresh(ev.Target)
 		if err != nil {
-			panic(fmt.Sprintf("chaos: restart %s: %v", ev.Target, err))
+			panic(fmt.Sprintf("chaos: %s %s: %v", ev.Action, ev.Target, err))
 		}
 		// Notify the observer before Init runs: Init-time recorder events
 		// (the durable path's Recover) must land in the new incarnation.
-		if in.Obs != nil {
-			in.Obs.Restart(ev.Target)
-		}
-		in.RT.Restart(ev.Target, n)
-	case ActRestartRecover:
-		if in.FreshRecovered == nil {
-			panic("chaos: schedule contains a restart_recover but Injector.FreshRecovered is nil")
-		}
-		n, err := in.FreshRecovered(ev.Target)
-		if err != nil {
-			panic(fmt.Sprintf("chaos: restart_recover %s: %v", ev.Target, err))
-		}
 		if in.Obs != nil {
 			in.Obs.Restart(ev.Target)
 		}

@@ -41,10 +41,10 @@ func (t *OrderTracker) Quorum() int { return t.quorum }
 
 // Observe folds a follower's acknowledged assignment frontier; the
 // sequencer's own frontier is Floor's self and is never observed, or it
-// would count twice toward the quorum. Stale (lower)
-// acks are ignored: frontiers are monotone per incarnation, and a restarted
-// peer's genuinely lower frontier only matters for floors not yet released —
-// which Floor's own monotonicity already protects.
+// would count twice toward the quorum. Stale (lower) acks are ignored:
+// frontiers are monotone per incarnation, and a restarted peer's genuinely
+// lower frontier only matters for floors not yet released — which Floor's
+// own monotonicity already protects.
 func (t *OrderTracker) Observe(peer node.ID, frontier uint64) {
 	if frontier > t.acks[peer] {
 		t.acks[peer] = frontier

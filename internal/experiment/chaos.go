@@ -534,6 +534,8 @@ func RunChaosPoint(cfg ChaosConfig) ChaosResult {
 			Secondaries: d.Secondaries,
 			Clients:     d.ClientIDs,
 		}, cfg.Faults)
+		// A durable run's generated restarts keep their media. Rewriting
+		// the actions draws no randomness, so the schedule is unchanged.
 		for i := range sched {
 			if cfg.Durable && sched[i].Action == chaos.ActRestart {
 				sched[i].Action = chaos.ActRestartRecover
@@ -633,32 +635,35 @@ func RunChaosSweep(base ChaosConfig, seed int64, runs int) []ChaosResult {
 // run's line adds its shard count and outage completions, a split run's
 // line the split's outcome, and a failing report is headed by its shard.
 // Output is deterministic.
-func WriteChaosTable(w io.Writer, name string, results []ChaosResult) {
-	fmt.Fprintf(w, "# chaos sweep %s: %d runs\n", name, len(results))
+func WriteChaosTable(w io.Writer, name string, results []ChaosResult) error {
+	var b bytes.Buffer // cannot fail, so only the final write is checked
+	fmt.Fprintf(&b, "# chaos sweep %s: %d runs\n", name, len(results))
 	for i := range results {
 		r := &results[i]
 		status := "PASS"
 		if !r.OK() {
 			status = "FAIL"
 		}
-		fmt.Fprintf(w, "seed=%-6d %s faults=%d requests=%d failed=%d events=%d done=%t",
+		fmt.Fprintf(&b, "seed=%-6d %s faults=%d requests=%d failed=%d events=%d done=%t",
 			r.Seed, status, len(r.Schedule), r.Requests, r.Failed, r.Events, r.Done)
 		sharded := len(r.Reports) > 1
 		if sharded {
-			fmt.Fprintf(w, " shards=%d outage=%d", len(r.Reports), r.OutageCompletions)
+			fmt.Fprintf(&b, " shards=%d outage=%d", len(r.Reports), r.OutageCompletions)
 		}
 		if r.Split != nil {
-			fmt.Fprintf(w, " split=%t read=%q@shard%d", r.Split.Installed, r.Split.Value, r.Split.Owner)
+			fmt.Fprintf(&b, " split=%t read=%q@shard%d", r.Split.Installed, r.Split.Value, r.Split.Owner)
 		}
-		fmt.Fprintln(w)
+		b.WriteByte('\n')
 		for s := range r.Reports {
 			if r.Reports[s].OK() {
 				continue
 			}
 			if sharded {
-				fmt.Fprintf(w, "shard %d:\n", s)
+				fmt.Fprintf(&b, "shard %d:\n", s)
 			}
-			r.Reports[s].Write(w)
+			r.Reports[s].Write(&b)
 		}
 	}
+	_, err := w.Write(b.Bytes())
+	return err
 }

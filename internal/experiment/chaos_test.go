@@ -242,11 +242,11 @@ func TestChaosGolden(t *testing.T) {
 }
 
 // TestShardChaosAcceptance is the sharded fault-tolerance headline, the
-// sharded row of the chaos table: with shard 0's sequencer killed and restarted mid-run
-// and a live shard split re-homing a key during the outage, every shard's
-// protocol invariants must hold independently, shard 1's clients must keep
-// completing requests while shard 0 recovers, and the moved key must
-// preserve read-your-writes at its new owner.
+// sharded row of the chaos table: with shard 0's sequencer killed and
+// restarted mid-run and a live shard split re-homing a key during the
+// outage, every shard's protocol invariants must hold independently, shard
+// 1's clients must keep completing requests while shard 0 recovers, and the
+// moved key must preserve read-your-writes at its new owner.
 func TestShardChaosAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full shard chaos run in -short mode")

@@ -29,7 +29,6 @@ func (g *Gateway) maybeAckAssigns() {
 	}
 	g.walLogAssigns()
 	if g.isLeader {
-		g.ensureOrderTracker()
 		g.maybeOrderCommit()
 		return
 	}
@@ -59,16 +58,17 @@ func (g *Gateway) onAssignAck(from node.ID, a consistency.AssignAck) {
 // orderObserve updates one follower's acked frontier and re-evaluates the
 // majority floor.
 func (g *Gateway) orderObserve(peer node.ID, frontier uint64) {
-	g.ensureOrderTracker()
-	g.orderTracker.Observe(peer, frontier)
+	g.tracker().Observe(peer, frontier)
 	g.maybeOrderCommit()
 }
 
-// ensureOrderTracker creates the tracker lazily, once per sequencer era.
-func (g *Gateway) ensureOrderTracker() {
+// tracker returns this sequencer era's order tracker, creating it on first
+// use.
+func (g *Gateway) tracker() *consistency.OrderTracker {
 	if g.orderTracker == nil {
 		g.orderTracker = consistency.NewOrderTracker(len(g.cfg.PrimaryGroup))
 	}
+	return g.orderTracker
 }
 
 // maybeOrderCommit recomputes the majority floor and, when it rises,
@@ -76,10 +76,7 @@ func (g *Gateway) ensureOrderTracker() {
 // lastFloor survives role changes, so a re-elected leader never broadcasts
 // a floor below one the group already released.
 func (g *Gateway) maybeOrderCommit() {
-	if g.orderTracker == nil {
-		return
-	}
-	floor := g.orderTracker.Floor(g.ackableFrontier())
+	floor := g.tracker().Floor(g.ackableFrontier())
 	if floor <= g.lastFloor {
 		return
 	}
