@@ -130,18 +130,31 @@ func TestChaosOracleCatchesReorderBug(t *testing.T) {
 }
 
 // TestChaosSweepParallelismInvariant mirrors TestFig4SweepParallelismInvariant
-// for chaos runs, over every row of the chaos table with all four fault
-// kinds: the same seeds produce byte-identical oracle traces and rendered
+// for chaos runs, over every row of the chaos table but the durable one
+// (TestRecoveryChaosSweepParallelismInvariant) with all four fault kinds:
+// the same seeds produce byte-identical oracle traces and rendered
 // verdicts whether the sweep runs sequentially or fanned across workers.
-// Under -race in CI this also checks the share-nothing claim, durability
-// and shards included.
+// Under -race in CI this also checks the share-nothing claim, shards
+// included.
 func TestChaosSweepParallelismInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
 	for _, p := range ChaosPresets() {
-		requireSweepDeterministic(t, p.Name, p.With(parseFaults(t, allFaultKinds), 40), 1, 3)
+		if p.Name != "durable" {
+			requireSweepDeterministic(t, p.Name, p.With(parseFaults(t, allFaultKinds), 40), 1, 3)
+		}
 	}
+}
+
+// TestRecoveryChaosSweepParallelismInvariant is the same check for the
+// durable row: WAL, snapshot and recovery restarts share nothing across
+// workers.
+func TestRecoveryChaosSweepParallelismInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos sweep in -short mode")
+	}
+	requireSweepDeterministic(t, "durable", chaosPreset(t, "durable").With(parseFaults(t, allFaultKinds), 40), 1, 3)
 }
 
 // allFaultKinds names all four fault kinds.
