@@ -2,7 +2,10 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -339,5 +342,57 @@ func gobEncode(t *testing.T, buf *bytes.Buffer, v interface{}) {
 	t.Helper()
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A snapshot reaches Restore from peers (StateUpdate) and from the WAL
+// cell, so a count it claims must be checked against its bytes before it
+// sizes an allocation: 5 bytes claiming 2^20 keys used to allocate 80 MB
+// for the KV store's map.
+func TestRestoreRejectsHostileCount(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		format byte
+		app    app.Application
+	}{
+		{"kvstore", kvSnapFormat, NewKVStore()},
+		{"document", docSnapFormat, NewDocument()},
+		{"ticker", tickerSnapFormat, NewTicker()},
+	} {
+		snap := binary.AppendUvarint([]byte{c.format, 7}, 1<<20)
+		if len(snap) != 5 {
+			t.Fatalf("hostile snapshot is %d bytes", len(snap))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.app.Restore(snap)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: snapshot claiming 2^20 entries in 0 bytes restored", c.name)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta >= 1<<20 {
+			t.Errorf("%s: rejecting the snapshot allocated %d bytes", c.name, delta)
+		}
+	}
+}
+
+// Document and ticker snapshots used to be gob streams; a cell or a peer
+// carrying one is refused by its format byte instead of misread.
+func TestRestoreRejectsGobSnapshots(t *testing.T) {
+	var doc, tick bytes.Buffer
+	gobEncode(t, &doc, struct {
+		Lines   []string
+		Version uint64
+	}{[]string{"a", "b"}, 2})
+	gobEncode(t, &tick, struct {
+		Symbols []string
+		Prices  []int64
+		Version uint64
+	}{[]string{"A"}, []int64{100}, 1})
+	if err := NewDocument().Restore(doc.Bytes()); err == nil || !strings.Contains(err.Error(), "bad snapshot format") {
+		t.Errorf("document restored a gob snapshot: %v", err)
+	}
+	if err := NewTicker().Restore(tick.Bytes()); err == nil || !strings.Contains(err.Error(), "bad snapshot format") {
+		t.Errorf("ticker restored a gob snapshot: %v", err)
 	}
 }

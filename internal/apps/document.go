@@ -2,11 +2,12 @@ package apps
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 
 	"aqua/internal/app"
+	"aqua/internal/codec"
 )
 
 // Document is the paper's motivating example (Section 2): "a
@@ -32,10 +33,13 @@ var _ app.Application = (*Document)(nil)
 // NewDocument returns an empty document.
 func NewDocument() *Document { return &Document{} }
 
-type docState struct {
-	Lines   []string
-	Version uint64
-}
+// Snapshot format, in internal/codec's fields:
+//
+//	byte    format tag (docSnapFormat)
+//	uvarint version counter
+//	uvarint line count n
+//	n ×     string line
+const docSnapFormat = 2
 
 // ApplyUpdate implements app.Application.
 func (d *Document) ApplyUpdate(method string, payload []byte) ([]byte, error) {
@@ -87,20 +91,30 @@ func (d *Document) Version() uint64 { return d.version }
 
 // Snapshot implements app.Application.
 func (d *Document) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(docState{Lines: d.lines, Version: d.version}); err != nil {
-		return nil, fmt.Errorf("document snapshot: %w", err)
+	buf := []byte{docSnapFormat}
+	buf = binary.AppendUvarint(buf, d.version)
+	buf = binary.AppendUvarint(buf, uint64(len(d.lines)))
+	for _, l := range d.lines {
+		buf = codec.AppendString(buf, l)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // Restore implements app.Application.
 func (d *Document) Restore(snapshot []byte) error {
-	var st docState
-	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&st); err != nil {
+	r := codec.NewReader(snapshot)
+	if r.Byte() != docSnapFormat {
+		return fmt.Errorf("document restore: bad snapshot format")
+	}
+	version := r.Uvarint()
+	lines := make([]string, r.Count(1))
+	for i := range lines {
+		lines[i] = r.Str()
+	}
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("document restore: %w", err)
 	}
-	d.lines = st.Lines
-	d.version = st.Version
+	d.lines = lines
+	d.version = version
 	return nil
 }

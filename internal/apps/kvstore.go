@@ -12,6 +12,7 @@ import (
 	"strconv"
 
 	"aqua/internal/app"
+	"aqua/internal/codec"
 )
 
 // KVStore is a deterministic string key-value store with a version counter.
@@ -42,17 +43,15 @@ func NewKVStore() *KVStore {
 	return &KVStore{data: make(map[string]string)}
 }
 
-// Snapshot wire format (version 1): a canonical, allocation-lean binary
-// encoding. Pairs are sorted by key so snapshots are canonical: replicas
-// with identical state produce identical bytes, which the anti-entropy
-// digest comparison depends on. (The previous gob encoding was canonical
-// too, but rebuilt its type machinery — hundreds of allocations — on every
-// encode and decode; snapshots travel on every lazy update.)
+// Snapshot format: a canonical, allocation-lean binary encoding in
+// internal/codec's fields. Pairs are sorted by key so snapshots are
+// canonical: replicas with identical state produce identical bytes, which
+// the anti-entropy digest comparison depends on.
 //
 //	byte    format tag (kvSnapFormat)
 //	uvarint version counter
 //	uvarint pair count n
-//	n ×     (uvarint key len, key bytes, uvarint value len, value bytes)
+//	n ×     (string key, string value)
 const kvSnapFormat = 1
 
 // ApplyUpdate implements app.Application.
@@ -117,11 +116,8 @@ func (k *KVStore) Snapshot() ([]byte, error) {
 	buf = binary.AppendUvarint(buf, k.version)
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, key := range keys {
-		buf = binary.AppendUvarint(buf, uint64(len(key)))
-		buf = append(buf, key...)
-		value := k.data[key]
-		buf = binary.AppendUvarint(buf, uint64(len(value)))
-		buf = append(buf, value...)
+		buf = codec.AppendString(buf, key)
+		buf = codec.AppendString(buf, k.data[key])
 	}
 	k.snapCache = buf
 	k.snapVersion = k.version
@@ -130,49 +126,19 @@ func (k *KVStore) Snapshot() ([]byte, error) {
 
 // Restore implements app.Application.
 func (k *KVStore) Restore(snapshot []byte) error {
-	if len(snapshot) == 0 || snapshot[0] != kvSnapFormat {
+	r := codec.NewReader(snapshot)
+	if r.Byte() != kvSnapFormat {
 		return fmt.Errorf("kvstore restore: bad snapshot format")
 	}
-	rest := snapshot[1:]
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("kvstore restore: truncated snapshot")
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-	readString := func() (string, error) {
-		l, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if uint64(len(rest)) < l {
-			return "", fmt.Errorf("kvstore restore: truncated snapshot")
-		}
-		s := string(rest[:l])
-		rest = rest[l:]
-		return s, nil
-	}
-	version, err := readUvarint()
-	if err != nil {
-		return err
-	}
-	n, err := readUvarint()
-	if err != nil {
-		return err
-	}
+	version := r.Uvarint()
+	n := r.Count(2) // a pair is at least two length bytes
 	data := make(map[string]string, n)
-	for i := uint64(0); i < n; i++ {
-		key, err := readString()
-		if err != nil {
-			return err
-		}
-		value, err := readString()
-		if err != nil {
-			return err
-		}
-		data[key] = value
+	for i := 0; i < n; i++ {
+		key := r.Str()
+		data[key] = r.Str()
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("kvstore restore: %w", err)
 	}
 	k.data = data
 	k.version = version

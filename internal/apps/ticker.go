@@ -2,11 +2,12 @@ package apps
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 
 	"aqua/internal/app"
+	"aqua/internal/codec"
 )
 
 // Ticker is the paper's online stock-trading example (Section 1): a
@@ -33,13 +34,14 @@ func NewTicker() *Ticker {
 	return &Ticker{cents: make(map[string]int64)}
 }
 
-// tickerState is the canonical (deterministic-bytes) snapshot form:
-// prices ride in Symbols order rather than as a gob map.
-type tickerState struct {
-	Symbols []string
-	Prices  []int64
-	Version uint64
-}
+// Snapshot format, in internal/codec's fields. Prices ride in insertion
+// order rather than map order, so the bytes are canonical.
+//
+//	byte    format tag (tickerSnapFormat)
+//	uvarint version counter
+//	uvarint symbol count n
+//	n ×     (string symbol, varint price in cents)
+const tickerSnapFormat = 3
 
 // ApplyUpdate implements app.Application.
 func (t *Ticker) ApplyUpdate(method string, payload []byte) ([]byte, error) {
@@ -111,35 +113,35 @@ func (t *Ticker) Version() uint64 { return t.version }
 
 // Snapshot implements app.Application; the encoding is canonical.
 func (t *Ticker) Snapshot() ([]byte, error) {
-	st := tickerState{
-		Symbols: t.symbols,
-		Prices:  make([]int64, len(t.symbols)),
-		Version: t.version,
+	buf := []byte{tickerSnapFormat}
+	buf = binary.AppendUvarint(buf, t.version)
+	buf = binary.AppendUvarint(buf, uint64(len(t.symbols)))
+	for _, sym := range t.symbols {
+		buf = codec.AppendString(buf, sym)
+		buf = binary.AppendVarint(buf, t.cents[sym])
 	}
-	for i, sym := range t.symbols {
-		st.Prices[i] = t.cents[sym]
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("ticker snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // Restore implements app.Application.
 func (t *Ticker) Restore(snapshot []byte) error {
-	var st tickerState
-	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&st); err != nil {
+	r := codec.NewReader(snapshot)
+	if r.Byte() != tickerSnapFormat {
+		return fmt.Errorf("ticker restore: bad snapshot format")
+	}
+	version := r.Uvarint()
+	// A symbol is at least a length byte and a price byte.
+	symbols := make([]string, r.Count(2))
+	cents := make(map[string]int64, len(symbols))
+	for i := range symbols {
+		symbols[i] = r.Str()
+		cents[symbols[i]] = r.Varint()
+	}
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("ticker restore: %w", err)
 	}
-	if len(st.Symbols) != len(st.Prices) {
-		return fmt.Errorf("ticker restore: %d symbols vs %d prices", len(st.Symbols), len(st.Prices))
-	}
-	t.cents = make(map[string]int64, len(st.Symbols))
-	for i, sym := range st.Symbols {
-		t.cents[sym] = st.Prices[i]
-	}
-	t.symbols = st.Symbols
-	t.version = st.Version
+	t.cents = cents
+	t.symbols = symbols
+	t.version = version
 	return nil
 }

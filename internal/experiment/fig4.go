@@ -88,10 +88,6 @@ type Fig4Config struct {
 	// byte-identical — TestFig4DurabilityByteIdentical holds this.
 	Durable       bool
 	SnapshotEvery int
-	// ReplicatedAssign turns on majority-floor GSN ordering. Unlike
-	// Durable it adds real protocol traffic (acks, release floors), so it
-	// carries no byte-identity claim.
-	ReplicatedAssign bool
 
 	// CountedEstimator switches the measured client to the n_L-anchored
 	// staleness estimator (abl-estimator).
@@ -245,7 +241,6 @@ func RunFig4Point(cfg Fig4Config) Fig4Result {
 		AssignBatchWindow: cfg.AssignBatchWindow,
 		Durable:           cfg.Durable,
 		SnapshotEvery:     cfg.SnapshotEvery,
-		ReplicatedAssign:  cfg.ReplicatedAssign,
 		Obs:               cfg.Obs,
 		Tracer:            cfg.Trace.WithRun(cfg.runLabel(), sim.Epoch),
 	}

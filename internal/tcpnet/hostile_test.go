@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"aqua/internal/codec"
 	"aqua/internal/consistency"
 )
 
@@ -18,8 +19,8 @@ import (
 func TestHostileGSNReportCountBounded(t *testing.T) {
 	const count = 1 << 20
 	body := []byte{WireVersion}
-	body = appendString(body, "a") // from
-	body = appendString(body, "b") // to
+	body = codec.AppendString(body, "a") // from
+	body = codec.AppendString(body, "b") // to
 	body = append(body, tagGSNReport)
 	body = binary.AppendUvarint(body, 1)     // epoch
 	body = binary.AppendUvarint(body, 9)     // gsn

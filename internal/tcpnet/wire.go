@@ -16,9 +16,10 @@
 //	byte    type tag       (see the tag table below)
 //	...     message fields, in struct declaration order
 //
-// Field encodings: uint64 → uvarint; int / time.Duration → zigzag varint;
-// bool → one byte (0/1); string and []byte → uvarint length + bytes
-// (length 0 decodes as nil/""); RequestID → Client string + Seq uvarint;
+// Field encodings are internal/codec's (uint64 → uvarint; int /
+// time.Duration → zigzag varint; bool → one byte, 0 or 1, anything else
+// malformed; string and []byte → uvarint length + bytes, length 0 decoding
+// as nil/""). On top of them: RequestID → Client string + Seq uvarint;
 // []RequestID → uvarint count + elements. group.DataMsg nests its payload
 // as a complete tagged message (bounded depth).
 //
@@ -37,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"aqua/internal/codec"
 	"aqua/internal/consistency"
 	"aqua/internal/group"
 	"aqua/internal/node"
@@ -77,10 +79,8 @@ const (
 )
 
 var (
-	errTruncated  = errors.New("tcpnet: truncated frame")
 	errUnknownTag = errors.New("tcpnet: unknown wire type tag")
 	errVersion    = errors.New("tcpnet: unsupported wire version")
-	errTrailing   = errors.New("tcpnet: trailing bytes after frame")
 	errNested     = errors.New("tcpnet: payload nesting too deep")
 	errFrameSize  = errors.New("tcpnet: frame exceeds size limit")
 )
@@ -94,8 +94,8 @@ func AppendFrame(buf []byte, from, to node.ID, m node.Message) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length backpatched below
 	buf = append(buf, WireVersion)
-	buf = appendString(buf, string(from))
-	buf = appendString(buf, string(to))
+	buf = codec.AppendString(buf, string(from))
+	buf = codec.AppendString(buf, string(to))
 	buf, err := appendMessage(buf, m, 0)
 	if err != nil {
 		return buf[:start], err
@@ -180,12 +180,12 @@ func (t *Transport) appendFrameVec(buf []byte, from, to node.ID, m node.Message)
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
 	buf = append(buf, WireVersion)
-	buf = appendString(buf, string(from))
-	buf = appendString(buf, string(to))
+	buf = codec.AppendString(buf, string(from))
+	buf = codec.AppendString(buf, string(to))
 	buf = append(buf, tagDataMsg)
-	buf = appendUvarint(buf, dm.SrcEpoch)
-	buf = appendUvarint(buf, dm.Gen)
-	buf = appendUvarint(buf, dm.Seq)
+	buf = binary.AppendUvarint(buf, dm.SrcEpoch)
+	buf = binary.AppendUvarint(buf, dm.Gen)
+	buf = binary.AppendUvarint(buf, dm.Seq)
 	n := len(buf) - start - 4 + len(body)
 	if n > maxFrameBytes {
 		return buf[:start], nil, errFrameSize
@@ -215,39 +215,22 @@ type FrameDecoder struct {
 
 // Decode is DecodeFrame against this decoder's intern cache.
 func (d *FrameDecoder) Decode(body []byte) (from, to node.ID, m node.Message, err error) {
-	r := wireReader{b: body, intern: &d.intern}
-	if v := r.byte(); r.err == nil && v != WireVersion {
+	return decodeFrame(wireReader{Reader: codec.NewReader(body), intern: &d.intern})
+}
+
+// decodeFrame reads the version byte, addressing and message of one frame
+// body; Decode and DecodeShared differ only in the reader they pass.
+func decodeFrame(r wireReader) (from, to node.ID, m node.Message, err error) {
+	if v := r.Byte(); r.Err() == nil && v != WireVersion {
 		return "", "", nil, errVersion
 	}
 	from = r.id()
 	to = r.id()
 	m = decodeMessage(&r, 0)
-	if r.err != nil {
-		return "", "", nil, r.err
-	}
-	if len(r.b) != 0 {
-		return "", "", nil, errTrailing
+	if err := r.Done(); err != nil {
+		return "", "", nil, err
 	}
 	return from, to, m, nil
-}
-
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
 }
 
 func appendDuration(b []byte, d time.Duration) []byte {
@@ -255,7 +238,7 @@ func appendDuration(b []byte, d time.Duration) []byte {
 }
 
 func appendRequestID(b []byte, id consistency.RequestID) []byte {
-	b = appendString(b, string(id.Client))
+	b = codec.AppendString(b, string(id.Client))
 	return binary.AppendUvarint(b, id.Seq)
 }
 
@@ -288,44 +271,44 @@ func appendMessage(b []byte, m node.Message, depth int) ([]byte, error) {
 		return appendMessage(b, *v, depth)
 	case group.DataMsg:
 		b = append(b, tagDataMsg)
-		b = appendUvarint(b, v.SrcEpoch)
-		b = appendUvarint(b, v.Gen)
-		b = appendUvarint(b, v.Seq)
+		b = binary.AppendUvarint(b, v.SrcEpoch)
+		b = binary.AppendUvarint(b, v.Gen)
+		b = binary.AppendUvarint(b, v.Seq)
 		return appendMessage(b, v.Payload, depth+1)
 	case group.AckMsg:
 		b = append(b, tagAckMsg)
-		b = appendUvarint(b, v.SrcEpoch)
-		b = appendUvarint(b, v.DstEpoch)
-		b = appendUvarint(b, v.Gen)
-		return appendUvarint(b, v.Expected), nil
+		b = binary.AppendUvarint(b, v.SrcEpoch)
+		b = binary.AppendUvarint(b, v.DstEpoch)
+		b = binary.AppendUvarint(b, v.Gen)
+		return binary.AppendUvarint(b, v.Expected), nil
 	case group.HeartbeatMsg:
 		b = append(b, tagHeartbeatMsg)
-		return appendString(b, v.Group), nil
+		return codec.AppendString(b, v.Group), nil
 	case consistency.Request:
 		b = append(b, tagRequest)
 		b = appendRequestID(b, v.ID)
-		b = appendString(b, v.Method)
-		b = appendBytes(b, v.Payload)
-		b = appendBool(b, v.ReadOnly)
+		b = codec.AppendString(b, v.Method)
+		b = codec.AppendBytes(b, v.Payload)
+		b = codec.AppendBool(b, v.ReadOnly)
 		return binary.AppendVarint(b, int64(v.Staleness)), nil
 	case consistency.Reply:
 		b = append(b, tagReply)
 		b = appendRequestID(b, v.ID)
-		b = appendBytes(b, v.Payload)
-		b = appendString(b, v.Err)
+		b = codec.AppendBytes(b, v.Payload)
+		b = codec.AppendString(b, v.Err)
 		b = appendDuration(b, v.T1)
-		b = appendUvarint(b, v.CSN)
-		b = appendString(b, string(v.Replica))
-		return appendBool(b, v.Deferred), nil
+		b = binary.AppendUvarint(b, v.CSN)
+		b = codec.AppendString(b, string(v.Replica))
+		return codec.AppendBool(b, v.Deferred), nil
 	case consistency.GSNAssign:
 		b = append(b, tagGSNAssign)
 		b = appendRequestID(b, v.ID)
-		b = appendUvarint(b, v.GSN)
-		return appendBool(b, v.Update), nil
+		b = binary.AppendUvarint(b, v.GSN)
+		return codec.AppendBool(b, v.Update), nil
 	case consistency.GSNRequest:
 		b = append(b, tagGSNRequest)
 		b = appendRequestID(b, v.ID)
-		return appendBool(b, v.Update), nil
+		return codec.AppendBool(b, v.Update), nil
 	case consistency.BodyRequest:
 		b = append(b, tagBodyRequest)
 		return appendRequestID(b, v.ID), nil
@@ -333,80 +316,80 @@ func appendMessage(b []byte, m node.Message, depth int) ([]byte, error) {
 		return append(b, tagSyncRequest), nil
 	case consistency.GSNQuery:
 		b = append(b, tagGSNQuery)
-		return appendUvarint(b, v.Epoch), nil
+		return binary.AppendUvarint(b, v.Epoch), nil
 	case consistency.GSNReport:
 		b = append(b, tagGSNReport)
-		b = appendUvarint(b, v.Epoch)
-		b = appendUvarint(b, v.GSN)
-		b = appendUvarint(b, uint64(len(v.Assigns)))
+		b = binary.AppendUvarint(b, v.Epoch)
+		b = binary.AppendUvarint(b, v.GSN)
+		b = binary.AppendUvarint(b, uint64(len(v.Assigns)))
 		for _, a := range v.Assigns {
 			b = appendRequestID(b, a.ID)
-			b = appendUvarint(b, a.GSN)
-			b = appendBool(b, a.Update)
+			b = binary.AppendUvarint(b, a.GSN)
+			b = codec.AppendBool(b, a.Update)
 		}
 		return b, nil
 	case consistency.AssignAck:
 		b = append(b, tagAssignAck)
-		b = appendUvarint(b, v.Epoch)
-		return appendUvarint(b, v.Frontier), nil
+		b = binary.AppendUvarint(b, v.Epoch)
+		return binary.AppendUvarint(b, v.Frontier), nil
 	case consistency.OrderCommit:
 		b = append(b, tagOrderCommit)
-		b = appendUvarint(b, v.Epoch)
-		return appendUvarint(b, v.Floor), nil
+		b = binary.AppendUvarint(b, v.Epoch)
+		return binary.AppendUvarint(b, v.Floor), nil
 	case consistency.StateUpdate:
 		b = append(b, tagStateUpdate)
-		b = appendUvarint(b, v.CSN)
-		b = appendBytes(b, v.Snapshot)
-		b = appendUvarint(b, uint64(len(v.RecentIDs)))
+		b = binary.AppendUvarint(b, v.CSN)
+		b = codec.AppendBytes(b, v.Snapshot)
+		b = binary.AppendUvarint(b, uint64(len(v.RecentIDs)))
 		for _, id := range v.RecentIDs {
 			b = appendRequestID(b, id)
 		}
 		return b, nil
 	case consistency.PerfBroadcast:
 		b = append(b, tagPerfBroadcast)
-		b = appendString(b, string(v.Replica))
+		b = codec.AppendString(b, string(v.Replica))
 		b = appendDuration(b, v.TS)
 		b = appendDuration(b, v.TQ)
 		b = appendDuration(b, v.TB)
-		b = appendBool(b, v.Deferred)
-		b = appendBool(b, v.Primary)
-		b = appendString(b, string(v.Sequencer))
-		b = appendBool(b, v.IsPublisher)
+		b = codec.AppendBool(b, v.Deferred)
+		b = codec.AppendBool(b, v.Primary)
+		b = codec.AppendString(b, string(v.Sequencer))
+		b = codec.AppendBool(b, v.IsPublisher)
 		b = binary.AppendVarint(b, int64(v.NU))
 		b = appendDuration(b, v.TU)
 		b = binary.AppendVarint(b, int64(v.NL))
 		return appendDuration(b, v.TL), nil
 	case consistency.SequencerAnnounce:
 		b = append(b, tagSequencerAnnounce)
-		return appendString(b, string(v.Sequencer)), nil
+		return codec.AppendString(b, string(v.Sequencer)), nil
 	case consistency.DigestAnnounce:
 		b = append(b, tagDigestAnnounce)
-		b = appendUvarint(b, v.Applied)
-		return appendUvarint(b, v.Hash), nil
+		b = binary.AppendUvarint(b, v.Applied)
+		return binary.AppendUvarint(b, v.Hash), nil
 	case consistency.GSNAssignBatch:
 		b = append(b, tagGSNAssignBatch)
-		b = appendUvarint(b, v.First)
-		b = appendUvarint(b, uint64(len(v.Updates)))
+		b = binary.AppendUvarint(b, v.First)
+		b = binary.AppendUvarint(b, uint64(len(v.Updates)))
 		for _, id := range v.Updates {
 			b = appendRequestID(b, id)
 		}
-		b = appendUvarint(b, v.ReadGSN)
-		b = appendUvarint(b, uint64(len(v.Reads)))
+		b = binary.AppendUvarint(b, v.ReadGSN)
+		b = binary.AppendUvarint(b, uint64(len(v.Reads)))
 		for _, id := range v.Reads {
 			b = appendRequestID(b, id)
 		}
 		return b, nil
 	case consistency.ShardMapAnnounce:
 		b = append(b, tagShardMapAnnounce)
-		b = appendUvarint(b, v.Version)
-		b = appendUvarint(b, uint64(v.Shards))
-		b = appendUvarint(b, uint64(len(v.Starts)))
+		b = binary.AppendUvarint(b, v.Version)
+		b = binary.AppendUvarint(b, uint64(v.Shards))
+		b = binary.AppendUvarint(b, uint64(len(v.Starts)))
 		for _, s := range v.Starts {
-			b = appendUvarint(b, uint64(s))
+			b = binary.AppendUvarint(b, uint64(s))
 		}
-		b = appendUvarint(b, uint64(len(v.Owners)))
+		b = binary.AppendUvarint(b, uint64(len(v.Owners)))
 		for _, o := range v.Owners {
-			b = appendUvarint(b, uint64(o))
+			b = binary.AppendUvarint(b, uint64(o))
 		}
 		return b, nil
 	default:
@@ -414,97 +397,32 @@ func appendMessage(b []byte, m node.Message, depth int) ([]byte, error) {
 	}
 }
 
-// wireReader is a fail-latching cursor over a frame body: the first parse
-// error sticks, subsequent reads return zero values, and the caller checks
-// err once at the end.
+// wireReader is codec's fail-latching Reader plus the transport's own
+// decoding: interned strings, and under DecodeShared aliased byte fields
+// and slab-boxed messages.
 type wireReader struct {
+	codec.Reader
 	intern *internTable
 	arena  *decodeArena // non-nil: shared decode (alias bytes, slab boxing)
-	b      []byte
-	err    error
 }
 
-func (r *wireReader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-		r.b = nil
-	}
-}
+func (r *wireReader) duration() time.Duration { return time.Duration(r.Varint()) }
 
-func (r *wireReader) byte() byte {
-	if len(r.b) == 0 {
-		r.fail(errTruncated)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *wireReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(errTruncated)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail(errTruncated)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) bool_() bool { return r.byte() != 0 }
-
-func (r *wireReader) duration() time.Duration { return time.Duration(r.varint()) }
-
-// bytes returns a copy of the next length-prefixed byte field (nil for
-// length 0, matching gob's omitted-zero-field decoding).
+// bytes returns the next length-prefixed byte field (nil for length 0,
+// matching gob's omitted-zero-field decoding): a copy, or under shared
+// decode an alias of the frame body — the DecodeShared contract transfers
+// buffer ownership to the message.
 func (r *wireReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
+	if r.arena == nil {
+		return r.Bytes()
 	}
-	if n > uint64(len(r.b)) {
-		r.fail(errTruncated)
-		return nil
+	if p := r.Take(r.Uvarint()); len(p) != 0 {
+		return p
 	}
-	if n == 0 {
-		return nil
-	}
-	if r.arena != nil {
-		// Shared decode: alias the frame body instead of copying. The
-		// DecodeShared contract transfers buffer ownership to the message.
-		out := r.b[:n:n]
-		r.b = r.b[n:]
-		return out
-	}
-	out := make([]byte, n)
-	copy(out, r.b[:n])
-	r.b = r.b[n:]
-	return out
+	return nil
 }
 
-func (r *wireReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(errTruncated)
-		return ""
-	}
-	s := r.intern.get(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
+func (r *wireReader) str() string { return r.intern.get(r.Take(r.Uvarint())) }
 
 // internTable is a direct-mapped cache of short decoded strings. A
 // connection's frames repeat a tiny vocabulary — node IDs, method names —
@@ -536,29 +454,19 @@ func (t *internTable) get(b []byte) string {
 func (r *wireReader) id() node.ID { return node.ID(r.str()) }
 
 func (r *wireReader) requestID() consistency.RequestID {
-	return consistency.RequestID{Client: r.id(), Seq: r.uvarint()}
+	return consistency.RequestID{Client: r.id(), Seq: r.Uvarint()}
 }
 
-// requestIDs decodes a length-prefixed RequestID list (nil for length 0),
-// bounding the count by the remaining bytes before allocating.
-// uint32s decodes a uvarint-counted list of uvarint-encoded uint32 values.
+// uint32s decodes a uvarint-counted list of uvarint-encoded uint32 values
+// (each at least one byte).
 func (r *wireReader) uint32s() []uint32 {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	// Every element costs >= 1 byte on the wire, so a count beyond the
-	// remaining bytes is a truncated frame — reject before allocating.
-	if n > uint64(len(r.b)) {
-		r.fail(errTruncated)
-		return nil
-	}
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]uint32, n)
 	for i := range out {
-		out[i] = uint32(r.uvarint())
+		out[i] = uint32(r.Uvarint())
 	}
 	return out
 }
@@ -567,49 +475,33 @@ func (r *wireReader) uint32s() []uint32 {
 // GSNReport's takeover-merge memo). Always heap-allocated: reports are rare
 // failover traffic, not worth arena space.
 func (r *wireReader) gsnAssigns() []consistency.GSNAssign {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	// Every GSNAssign costs >= 4 bytes on the wire (id >= 2, gsn, update),
-	// so a count above len/4 cannot decode — reject it before it sizes the
-	// allocation.
-	if n > uint64(len(r.b))/4 {
-		r.fail(errTruncated)
-		return nil
-	}
+	// Every GSNAssign costs >= 4 bytes on the wire (id >= 2, gsn, update).
+	n := r.Count(4)
 	if n == 0 {
 		return nil
 	}
 	out := make([]consistency.GSNAssign, n)
 	for i := range out {
 		out[i].ID = r.requestID()
-		out[i].GSN = r.uvarint()
-		out[i].Update = r.bool_()
+		out[i].GSN = r.Uvarint()
+		out[i].Update = r.Bool()
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	return out
 }
 
+// requestIDs decodes a length-prefixed RequestID list (nil for length 0;
+// each ID is at least 2 bytes).
 func (r *wireReader) requestIDs() []consistency.RequestID {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	// Every RequestID costs >= 2 bytes on the wire, so a count above len/2
-	// cannot decode — reject it before it sizes the allocation.
-	if n > uint64(len(r.b))/2 {
-		r.fail(errTruncated)
-		return nil
-	}
+	n := r.Count(2)
 	if n == 0 {
 		return nil
 	}
 	var out []consistency.RequestID
 	if r.arena != nil {
-		out = r.arena.requestIDs(int(n))
+		out = r.arena.requestIDs(n)
 	} else {
 		out = make([]consistency.RequestID, n)
 	}
@@ -621,15 +513,15 @@ func (r *wireReader) requestIDs() []consistency.RequestID {
 
 func decodeMessage(r *wireReader, depth int) node.Message {
 	if depth > maxPayloadNest {
-		r.fail(errNested)
+		r.Fail(errNested)
 		return nil
 	}
-	switch tag := r.byte(); tag {
+	switch tag := r.Byte(); tag {
 	case tagDataMsg:
 		var m group.DataMsg
-		m.SrcEpoch = r.uvarint()
-		m.Gen = r.uvarint()
-		m.Seq = r.uvarint()
+		m.SrcEpoch = r.Uvarint()
+		m.Gen = r.Uvarint()
+		m.Seq = r.Uvarint()
 		m.Payload = decodeMessage(r, depth+1)
 		if r.arena != nil {
 			return r.arena.putDataMsg(m)
@@ -637,10 +529,10 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		return m
 	case tagAckMsg:
 		var m group.AckMsg
-		m.SrcEpoch = r.uvarint()
-		m.DstEpoch = r.uvarint()
-		m.Gen = r.uvarint()
-		m.Expected = r.uvarint()
+		m.SrcEpoch = r.Uvarint()
+		m.DstEpoch = r.Uvarint()
+		m.Gen = r.Uvarint()
+		m.Expected = r.Uvarint()
 		if r.arena != nil {
 			return r.arena.putAck(m)
 		}
@@ -655,8 +547,8 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.ID = r.requestID()
 		m.Method = r.str()
 		m.Payload = r.bytes()
-		m.ReadOnly = r.bool_()
-		m.Staleness = int(r.varint())
+		m.ReadOnly = r.Bool()
+		m.Staleness = int(r.Varint())
 		if r.arena != nil {
 			return r.arena.putRequest(m)
 		}
@@ -667,9 +559,9 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.Payload = r.bytes()
 		m.Err = r.str()
 		m.T1 = r.duration()
-		m.CSN = r.uvarint()
+		m.CSN = r.Uvarint()
 		m.Replica = r.id()
-		m.Deferred = r.bool_()
+		m.Deferred = r.Bool()
 		if r.arena != nil {
 			return r.arena.putReply(m)
 		}
@@ -677,8 +569,8 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 	case tagGSNAssign:
 		var m consistency.GSNAssign
 		m.ID = r.requestID()
-		m.GSN = r.uvarint()
-		m.Update = r.bool_()
+		m.GSN = r.Uvarint()
+		m.Update = r.Bool()
 		if r.arena != nil {
 			return r.arena.putAssign(m)
 		}
@@ -686,33 +578,33 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 	case tagGSNRequest:
 		var m consistency.GSNRequest
 		m.ID = r.requestID()
-		m.Update = r.bool_()
+		m.Update = r.Bool()
 		return m
 	case tagBodyRequest:
 		return consistency.BodyRequest{ID: r.requestID()}
 	case tagSyncRequest:
 		return consistency.SyncRequest{}
 	case tagGSNQuery:
-		return consistency.GSNQuery{Epoch: r.uvarint()}
+		return consistency.GSNQuery{Epoch: r.Uvarint()}
 	case tagGSNReport:
 		var m consistency.GSNReport
-		m.Epoch = r.uvarint()
-		m.GSN = r.uvarint()
+		m.Epoch = r.Uvarint()
+		m.GSN = r.Uvarint()
 		m.Assigns = r.gsnAssigns()
 		return m
 	case tagAssignAck:
 		var m consistency.AssignAck
-		m.Epoch = r.uvarint()
-		m.Frontier = r.uvarint()
+		m.Epoch = r.Uvarint()
+		m.Frontier = r.Uvarint()
 		return m
 	case tagOrderCommit:
 		var m consistency.OrderCommit
-		m.Epoch = r.uvarint()
-		m.Floor = r.uvarint()
+		m.Epoch = r.Uvarint()
+		m.Floor = r.Uvarint()
 		return m
 	case tagStateUpdate:
 		var m consistency.StateUpdate
-		m.CSN = r.uvarint()
+		m.CSN = r.Uvarint()
 		m.Snapshot = r.bytes()
 		m.RecentIDs = r.requestIDs()
 		if r.arena != nil {
@@ -725,27 +617,27 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.TS = r.duration()
 		m.TQ = r.duration()
 		m.TB = r.duration()
-		m.Deferred = r.bool_()
-		m.Primary = r.bool_()
+		m.Deferred = r.Bool()
+		m.Primary = r.Bool()
 		m.Sequencer = r.id()
-		m.IsPublisher = r.bool_()
-		m.NU = int(r.varint())
+		m.IsPublisher = r.Bool()
+		m.NU = int(r.Varint())
 		m.TU = r.duration()
-		m.NL = int(r.varint())
+		m.NL = int(r.Varint())
 		m.TL = r.duration()
 		return m
 	case tagSequencerAnnounce:
 		return consistency.SequencerAnnounce{Sequencer: r.id()}
 	case tagDigestAnnounce:
 		var m consistency.DigestAnnounce
-		m.Applied = r.uvarint()
-		m.Hash = r.uvarint()
+		m.Applied = r.Uvarint()
+		m.Hash = r.Uvarint()
 		return m
 	case tagGSNAssignBatch:
 		var m consistency.GSNAssignBatch
-		m.First = r.uvarint()
+		m.First = r.Uvarint()
 		m.Updates = r.requestIDs()
-		m.ReadGSN = r.uvarint()
+		m.ReadGSN = r.Uvarint()
 		m.Reads = r.requestIDs()
 		if r.arena != nil {
 			return r.arena.putAssignBatch(m)
@@ -753,13 +645,13 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		return m
 	case tagShardMapAnnounce:
 		var m consistency.ShardMapAnnounce
-		m.Version = r.uvarint()
-		m.Shards = uint32(r.uvarint())
+		m.Version = r.Uvarint()
+		m.Shards = uint32(r.Uvarint())
 		m.Starts = r.uint32s()
 		m.Owners = r.uint32s()
 		return m
 	default:
-		r.fail(errUnknownTag)
+		r.Fail(errUnknownTag)
 		return nil
 	}
 }

@@ -20,6 +20,7 @@
 package tcpnet
 
 import (
+	"aqua/internal/codec"
 	"aqua/internal/consistency"
 	"aqua/internal/group"
 	"aqua/internal/node"
@@ -140,20 +141,7 @@ func (a *decodeArena) requestIDs(n int) []consistency.RequestID {
 // the decoded message — body must not be reused or mutated afterwards.
 // Everything else matches Decode: a frame either decodes exactly or errors.
 func (d *FrameDecoder) DecodeShared(body []byte) (from, to node.ID, m node.Message, err error) {
-	r := wireReader{b: body, intern: &d.intern, arena: &d.arena}
-	if v := r.byte(); r.err == nil && v != WireVersion {
-		return "", "", nil, errVersion
-	}
-	from = r.id()
-	to = r.id()
-	m = decodeMessage(&r, 0)
-	if r.err != nil {
-		return "", "", nil, r.err
-	}
-	if len(r.b) != 0 {
-		return "", "", nil, errTrailing
-	}
-	return from, to, m, nil
+	return decodeFrame(wireReader{Reader: codec.NewReader(body), intern: &d.intern, arena: &d.arena})
 }
 
 // Flatten undoes pointer boxing: messages decoded by DecodeShared arrive as

@@ -4,10 +4,10 @@
 // suffix to its exact pre-crash commit frontier instead of re-fetching
 // history from its peers (DESIGN.md §14).
 //
-// The binary format follows the live transport's codec conventions
-// (internal/tcpnet/wire.go): length-prefixed framing, a version byte,
-// uvarint integers, length-prefixed strings and byte slices, and
-// decode-exactly-or-error semantics. Every frame additionally carries a
+// The binary format is length-prefixed framing and a version byte around
+// internal/codec's field encoding (uvarint integers, length-prefixed
+// strings and byte slices, 0/1 bools), with decode-exactly-or-error
+// semantics. Every frame additionally carries a
 // CRC32 of its body, because unlike a TCP stream a log survives torn
 // writes and media corruption: a record either decodes byte-exactly with a
 // matching checksum or replay stops at that record boundary. A torn final
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"aqua/internal/codec"
 	"aqua/internal/consistency"
 	"aqua/internal/node"
 )
@@ -103,7 +104,7 @@ type Snapshot struct {
 //	body:
 //	  byte  version (currently 2)
 //	  byte  kind (records only)
-//	  ...   fields, uvarint/length-prefixed as in tcpnet/wire.go
+//	  ...   fields in internal/codec's encoding
 
 // AppendRecord appends one encoded record frame to b. Assign records carry
 // only (GSN, ID); the body fields are commit-only.
@@ -111,12 +112,12 @@ func AppendRecord(b []byte, r *Record) []byte {
 	b, start := beginFrame(b)
 	b = append(b, Version, r.Kind)
 	b = binary.AppendUvarint(b, r.GSN)
-	b = appendString(b, string(r.ID.Client))
+	b = codec.AppendString(b, string(r.ID.Client))
 	b = binary.AppendUvarint(b, r.ID.Seq)
 	if r.Kind == KindCommit {
-		b = appendString(b, r.Method)
-		b = appendBytes(b, r.Payload)
-		b = appendBool(b, r.Dup)
+		b = codec.AppendString(b, r.Method)
+		b = codec.AppendBytes(b, r.Payload)
+		b = codec.AppendBool(b, r.Dup)
 	}
 	return endFrame(b, start)
 }
@@ -126,16 +127,16 @@ func AppendSnapshot(b []byte, s *Snapshot) []byte {
 	b, start := beginFrame(b)
 	b = append(b, Version)
 	b = binary.AppendUvarint(b, s.CSN)
-	b = appendBytes(b, s.App)
+	b = codec.AppendBytes(b, s.App)
 	b = binary.AppendUvarint(b, uint64(len(s.RecentIDs)))
 	for _, id := range s.RecentIDs {
-		b = appendString(b, string(id.Client))
+		b = codec.AppendString(b, string(id.Client))
 		b = binary.AppendUvarint(b, id.Seq)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Assigns)))
 	for _, a := range s.Assigns {
 		b = binary.AppendUvarint(b, a.GSN)
-		b = appendString(b, string(a.ID.Client))
+		b = codec.AppendString(b, string(a.ID.Client))
 		b = binary.AppendUvarint(b, a.ID.Seq)
 	}
 	return endFrame(b, start)
@@ -165,23 +166,23 @@ func DecodeRecord(b []byte) (r Record, n int, err error) {
 	if err != nil {
 		return Record{}, 0, err
 	}
-	d := decoder{b: body}
-	if v := d.byte_(); v != Version {
+	d := codec.NewReader(body)
+	if v := d.Byte(); v != Version {
 		return Record{}, 0, fmt.Errorf("%w: record version %d", ErrCorrupt, v)
 	}
-	r.Kind = d.byte_()
-	if d.err == nil && r.Kind != KindCommit && r.Kind != KindAssign {
+	r.Kind = d.Byte()
+	if d.Err() == nil && r.Kind != KindCommit && r.Kind != KindAssign {
 		return Record{}, 0, fmt.Errorf("%w: record kind %d", ErrCorrupt, r.Kind)
 	}
-	r.GSN = d.uvarint()
-	r.ID.Client = node.ID(d.str())
-	r.ID.Seq = d.uvarint()
+	r.GSN = d.Uvarint()
+	r.ID.Client = node.ID(d.Str())
+	r.ID.Seq = d.Uvarint()
 	if r.Kind == KindCommit {
-		r.Method = d.str()
-		r.Payload = d.bytes()
-		r.Dup = d.bool_()
+		r.Method = d.Str()
+		r.Payload = d.Bytes()
+		r.Dup = d.Bool()
 	}
-	if d.err != nil || len(d.b) != 0 {
+	if d.Done() != nil {
 		return Record{}, 0, ErrCorrupt
 	}
 	return r, n, nil
@@ -194,43 +195,30 @@ func DecodeSnapshot(b []byte) (s Snapshot, n int, err error) {
 	if err != nil {
 		return Snapshot{}, 0, err
 	}
-	d := decoder{b: body}
-	if v := d.byte_(); v != Version {
+	d := codec.NewReader(body)
+	if v := d.Byte(); v != Version {
 		return Snapshot{}, 0, fmt.Errorf("%w: snapshot version %d", ErrCorrupt, v)
 	}
-	s.CSN = d.uvarint()
-	s.App = d.bytes()
-	count := d.uvarint()
-	if d.err == nil && count > uint64(len(d.b)) {
-		// Each ID needs at least one byte; a larger count is corrupt (and
-		// guarding here keeps a hostile count from driving a huge alloc).
-		return Snapshot{}, 0, ErrCorrupt
-	}
-	if d.err == nil && count > 0 {
-		s.RecentIDs = make([]consistency.RequestID, 0, count)
-		for i := uint64(0); i < count; i++ {
-			var id consistency.RequestID
-			id.Client = node.ID(d.str())
-			id.Seq = d.uvarint()
-			s.RecentIDs = append(s.RecentIDs, id)
+	s.CSN = d.Uvarint()
+	s.App = d.Bytes()
+	// Each ID needs at least one byte, each assign three (gsn, client
+	// length, seq).
+	if count := d.Count(1); count > 0 {
+		s.RecentIDs = make([]consistency.RequestID, count)
+		for i := range s.RecentIDs {
+			s.RecentIDs[i].Client = node.ID(d.Str())
+			s.RecentIDs[i].Seq = d.Uvarint()
 		}
 	}
-	acount := d.uvarint()
-	if d.err == nil && acount > uint64(len(d.b))/3 {
-		// Each assign needs at least three bytes (gsn, client length, seq).
-		return Snapshot{}, 0, ErrCorrupt
-	}
-	if d.err == nil && acount > 0 {
-		s.Assigns = make([]Assign, 0, acount)
-		for i := uint64(0); i < acount; i++ {
-			var a Assign
-			a.GSN = d.uvarint()
-			a.ID.Client = node.ID(d.str())
-			a.ID.Seq = d.uvarint()
-			s.Assigns = append(s.Assigns, a)
+	if count := d.Count(3); count > 0 {
+		s.Assigns = make([]Assign, count)
+		for i := range s.Assigns {
+			s.Assigns[i].GSN = d.Uvarint()
+			s.Assigns[i].ID.Client = node.ID(d.Str())
+			s.Assigns[i].ID.Seq = d.Uvarint()
 		}
 	}
-	if d.err != nil || len(d.b) != 0 {
+	if d.Done() != nil {
 		return Snapshot{}, 0, ErrCorrupt
 	}
 	return s, n, nil
@@ -279,97 +267,4 @@ func Replay(log []byte, visit func(Record) error) (valid int, torn bool, err err
 		off += n
 	}
 	return off, false, nil
-}
-
-// Codec helpers mirroring tcpnet/wire.go's conventions.
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// decoder is a fail-latching cursor over a frame body: the first parse
-// error sticks and subsequent reads return zero values.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrCorrupt
-	}
-}
-
-func (d *decoder) byte_() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) take(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return nil
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v
-}
-
-// str copies the bytes out: decoded records escape the read buffer.
-func (d *decoder) str() string { return string(d.take(d.uvarint())) }
-
-func (d *decoder) bytes() []byte {
-	p := d.take(d.uvarint())
-	if len(p) == 0 {
-		return nil
-	}
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
-}
-
-func (d *decoder) bool_() bool {
-	switch d.byte_() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail()
-		return false
-	}
 }
