@@ -173,10 +173,9 @@ type Gateway struct {
 	fd    *qos.FailureDetector
 	model selection.Model
 
-	sequencer    node.ID
-	nextSeq      uint64
-	pending      map[consistency.RequestID]*pendingReq
-	pendingOrder []consistency.RequestID
+	sequencer node.ID
+	nextSeq   uint64
+	pending   *consistency.Memo[*pendingReq]
 
 	// firstUnanswered records, per replica, when the oldest still
 	// unanswered request was sent to it; replicas silent past
@@ -204,7 +203,7 @@ var _ node.Node = (*Gateway)(nil)
 // New creates a client gateway.
 func New(cfg Config) *Gateway {
 	cfg.setDefaults()
-	return &Gateway{
+	g := &Gateway{
 		cfg:  cfg,
 		repo: repository.New(cfg.WindowSize),
 		fd:   qos.NewFailureDetector(cfg.Spec, cfg.OnBreach),
@@ -214,10 +213,12 @@ func New(cfg Config) *Gateway {
 			CountedEstimator: cfg.CountedEstimator,
 		},
 		sequencer:       cfg.Service.Sequencer,
-		pending:         make(map[consistency.RequestID]*pendingReq),
+		pending:         consistency.NewMemo[*pendingReq](cfg.MaxPending),
 		firstUnanswered: make(map[node.ID]time.Time),
 		metrics:         Metrics{Selections: make(map[node.ID]int)},
 	}
+	g.pending.OnEvict = g.evict
+	return g
 }
 
 // Init implements node.Node.
@@ -291,7 +292,7 @@ func (g *Gateway) invoke(method string, payload []byte, staleness int, cb func(R
 		g.ins.updates.Inc()
 	}
 	p := &pendingReq{id: id, req: req, readOnly: readOnly, t0: now, cb: cb}
-	g.track(p)
+	g.pending.Put(id, p)
 	if !p.done { // an eviction callback's own invocations can evict p
 		g.transmit(p)
 	}
@@ -419,27 +420,16 @@ func (g *Gateway) applySuspicion(in *selection.Input, now time.Time) {
 	}
 }
 
-// track remembers p, evicting the oldest entries beyond MaxPending. An
-// evicted entry still in flight is failed back, so its callback still
-// fires; the table is consistent before that callback runs, because it may
+// evict handles an entry MaxPending newer invocations pushed out of the
+// pending memo. One still in flight is failed back, so its callback still
+// fires; the memo is consistent before that callback runs, because it may
 // invoke again.
-func (g *Gateway) track(p *pendingReq) {
-	g.pending[p.id] = p
-	g.pendingOrder = append(g.pendingOrder, p.id)
-	for len(g.pendingOrder) > g.cfg.MaxPending {
-		victimID := g.pendingOrder[0]
-		g.pendingOrder = g.pendingOrder[1:]
-		victim, ok := g.pending[victimID]
-		if !ok {
-			continue
+func (g *Gateway) evict(_ consistency.RequestID, p *pendingReq) {
+	if !p.done {
+		if p.stopRetry != nil {
+			p.stopRetry()
 		}
-		delete(g.pending, victimID)
-		if !victim.done {
-			if victim.stopRetry != nil {
-				victim.stopRetry()
-			}
-			g.fail(victim, errEvicted)
-		}
+		g.fail(p, errEvicted)
 	}
 }
 
@@ -460,7 +450,7 @@ func (g *Gateway) servingPrimaries() []node.ID {
 // reply, delivery and timing-failure accounting for the first.
 func (g *Gateway) onReply(r consistency.Reply) {
 	delete(g.firstUnanswered, r.Replica)
-	p, ok := g.pending[r.ID]
+	p, ok := g.pending.Get(r.ID)
 	if !ok {
 		return // pruned or unknown
 	}

@@ -336,7 +336,7 @@ func TestClientPendingPrune(t *testing.T) {
 		f.invoke("Set", []byte("a=1"), nil)
 	}
 	f.s.RunFor(time.Second)
-	if got := len(f.gw.pending); got > 4 {
+	if got := f.gw.pending.Len(); got > 4 {
 		t.Fatalf("pending grew to %d, cap 4", got)
 	}
 }
@@ -371,7 +371,7 @@ func TestClientEvictionFailsInFlightInvocation(t *testing.T) {
 			t.Fatalf("invocation %d: Err = %q, want %q", i, rs[0].Err, want)
 		}
 	}
-	if got := len(f.gw.pending); got > cfg.MaxPending {
+	if got := f.gw.pending.Len(); got > cfg.MaxPending {
 		t.Fatalf("pending grew to %d, cap %d", got, cfg.MaxPending)
 	}
 }

@@ -26,16 +26,13 @@ type PendingRead struct {
 //
 // The sequencer broadcasts every read's GSN to all replicas, but only the
 // selected subset holds the body, so unclaimed assignments (and the dedup
-// memory of served requests) are bounded FIFO memos: oldest entries are
+// memory of served requests) are bounded memos (Memo): oldest entries are
 // pruned past maxMemo.
 type ReadBuffer struct {
 	waitingBody   map[RequestID]PendingRead // have body, waiting for GSN
-	waitingAssign map[RequestID]uint64      // have GSN, waiting for body
-	assignOrder   []RequestID
+	waitingAssign *Memo[uint64]             // have GSN, waiting for body
 	deferred      []PendingRead
-	seen          map[RequestID]bool // delivered or in-flight, for dedup
-	seenOrder     []RequestID
-	maxMemo       int
+	seen          *Memo[struct{}] // delivered or in-flight, for dedup
 }
 
 // NewReadBuffer creates an empty buffer. maxMemo bounds the unclaimed
@@ -46,9 +43,8 @@ func NewReadBuffer(maxMemo int) *ReadBuffer {
 	}
 	return &ReadBuffer{
 		waitingBody:   make(map[RequestID]PendingRead),
-		waitingAssign: make(map[RequestID]uint64),
-		seen:          make(map[RequestID]bool),
-		maxMemo:       maxMemo,
+		waitingAssign: NewMemo[uint64](maxMemo),
+		seen:          NewMemo[struct{}](maxMemo),
 	}
 }
 
@@ -56,13 +52,13 @@ func NewReadBuffer(maxMemo int) *ReadBuffer {
 // arrived the read is returned ready=true with GSN filled in; otherwise it
 // is buffered. Duplicate bodies are dropped (ready=false).
 func (b *ReadBuffer) AddRead(req Request, from node.ID, now time.Time) (pr PendingRead, ready bool) {
-	if b.seen[req.ID] {
+	if _, seen := b.seen.Get(req.ID); seen {
 		return PendingRead{}, false
 	}
 	pr = PendingRead{Req: req, From: from, ArrivedAt: now}
-	if gsn, ok := b.waitingAssign[req.ID]; ok {
-		delete(b.waitingAssign, req.ID)
-		b.markSeen(req.ID)
+	if gsn, ok := b.waitingAssign.Get(req.ID); ok {
+		b.waitingAssign.Delete(req.ID)
+		b.seen.Put(req.ID, struct{}{})
 		pr.GSN = gsn
 		return pr, true
 	}
@@ -76,35 +72,14 @@ func (b *ReadBuffer) AddRead(req Request, from node.ID, now time.Time) (pr Pendi
 func (b *ReadBuffer) AddAssign(id RequestID, gsn uint64) (pr PendingRead, ready bool) {
 	if pr, ok := b.waitingBody[id]; ok {
 		delete(b.waitingBody, id)
-		b.markSeen(id)
+		b.seen.Put(id, struct{}{})
 		pr.GSN = gsn
 		return pr, true
 	}
-	if !b.seen[id] {
-		if _, dup := b.waitingAssign[id]; !dup {
-			b.waitingAssign[id] = gsn
-			b.assignOrder = append(b.assignOrder, id)
-			if len(b.assignOrder) > b.maxMemo {
-				victim := b.assignOrder[0]
-				b.assignOrder = b.assignOrder[1:]
-				delete(b.waitingAssign, victim)
-			}
-		}
+	if _, seen := b.seen.Get(id); !seen {
+		b.waitingAssign.Put(id, gsn)
 	}
 	return PendingRead{}, false
-}
-
-func (b *ReadBuffer) markSeen(id RequestID) {
-	if b.seen[id] {
-		return
-	}
-	b.seen[id] = true
-	b.seenOrder = append(b.seenOrder, id)
-	if len(b.seenOrder) > b.maxMemo {
-		victim := b.seenOrder[0]
-		b.seenOrder = b.seenOrder[1:]
-		delete(b.seen, victim)
-	}
 }
 
 // Defer parks a read that is too stale to serve until the next state
@@ -141,10 +116,11 @@ func (b *ReadBuffer) AwaitingGSN(cutoff time.Time) []RequestID {
 	return out
 }
 
-// Forget drops memory of a request ID (bounded-state hygiene for very long
-// runs; the gateway prunes IDs whose replies are long sent).
+// Forget drops all memory of a request ID, so a later body and assignment
+// for it are delivered again. Only tests call it; production relies on the
+// memos' bounded turnover. The ID's memo slots stay taken until evicted.
 func (b *ReadBuffer) Forget(id RequestID) {
-	delete(b.seen, id)
-	delete(b.waitingAssign, id)
+	b.seen.Delete(id)
+	b.waitingAssign.Delete(id)
 	delete(b.waitingBody, id)
 }

@@ -102,6 +102,27 @@ func TestReadBufferForget(t *testing.T) {
 	if _, ready := b.AddAssign(rid("r", 1), 6); !ready {
 		t.Fatal("forgotten ID did not flow again")
 	}
+
+	// Forget leaves r1's first dedup slot taken. Evicting that stale slot
+	// must not drop r1's second delivery: r1 stays one of the last two
+	// reads served.
+	b = NewReadBuffer(2)
+	deliver := func(seq uint64) bool {
+		b.AddRead(readReq(seq), "client", t0)
+		_, ready := b.AddAssign(rid("r", seq), seq)
+		return ready
+	}
+	deliver(1)
+	b.Forget(rid("r", 1))
+	if !deliver(1) {
+		t.Fatal("forgotten r1 not delivered again")
+	}
+	if !deliver(2) {
+		t.Fatal("r2 not delivered")
+	}
+	if deliver(1) {
+		t.Fatal("r1 delivered a third time")
+	}
 }
 
 func TestReadBufferMemoPruning(t *testing.T) {

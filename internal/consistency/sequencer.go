@@ -8,9 +8,7 @@ package consistency
 // would violate sequential consistency.
 type SequencerState struct {
 	gsn      uint64
-	assigned map[RequestID]uint64
-	order    []RequestID // FIFO of memoized IDs, for pruning
-	maxMemo  int
+	assigned *Memo[uint64]
 
 	// freshScratch and dupScratch back the slices returned by
 	// AssignUpdateBatch; valid only until the next call (the owning node's
@@ -26,10 +24,7 @@ func NewSequencerState(maxMemo int) *SequencerState {
 	if maxMemo <= 0 {
 		maxMemo = 4096
 	}
-	return &SequencerState{
-		assigned: make(map[RequestID]uint64),
-		maxMemo:  maxMemo,
-	}
+	return &SequencerState{assigned: NewMemo[uint64](maxMemo)}
 }
 
 // GSN returns the current (highest assigned) global sequence number.
@@ -47,11 +42,11 @@ func (s *SequencerState) Resume(gsn uint64) {
 // AssignUpdate returns the GSN for an update request, advancing the counter
 // exactly once per distinct request ID.
 func (s *SequencerState) AssignUpdate(id RequestID) uint64 {
-	if g, ok := s.assigned[id]; ok {
+	if g, ok := s.assigned.Get(id); ok {
 		return g
 	}
 	s.gsn++
-	s.memoize(id, s.gsn)
+	s.assigned.Put(id, s.gsn)
 	return s.gsn
 }
 
@@ -67,7 +62,7 @@ func (s *SequencerState) AssignUpdateBatch(ids []RequestID) (first uint64, fresh
 	fresh = s.freshScratch[:0]
 	dups = s.dupScratch[:0]
 	for _, id := range ids {
-		if g, ok := s.assigned[id]; ok {
+		if g, ok := s.assigned.Get(id); ok {
 			dups = append(dups, GSNAssign{ID: id, GSN: g, Update: true})
 			continue
 		}
@@ -75,7 +70,7 @@ func (s *SequencerState) AssignUpdateBatch(ids []RequestID) (first uint64, fresh
 		if len(fresh) == 0 {
 			first = s.gsn
 		}
-		s.memoize(id, s.gsn)
+		s.assigned.Put(id, s.gsn)
 		fresh = append(fresh, id)
 	}
 	s.freshScratch, s.dupScratch = fresh, dups
@@ -86,19 +81,9 @@ func (s *SequencerState) AssignUpdateBatch(ids []RequestID) (first uint64, fresh
 // it. Reads are memoized too: a deferred GSNRequest for a read must observe
 // the GSN the read was originally ordered against, not a later one.
 func (s *SequencerState) SnapshotRead(id RequestID) uint64 {
-	if g, ok := s.assigned[id]; ok {
+	if g, ok := s.assigned.Get(id); ok {
 		return g
 	}
-	s.memoize(id, s.gsn)
+	s.assigned.Put(id, s.gsn)
 	return s.gsn
-}
-
-func (s *SequencerState) memoize(id RequestID, gsn uint64) {
-	s.assigned[id] = gsn
-	s.order = append(s.order, id)
-	if len(s.order) > s.maxMemo {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		delete(s.assigned, victim)
-	}
 }

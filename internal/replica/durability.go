@@ -39,7 +39,7 @@ func (g *Gateway) recoverDurable() {
 			return
 		}
 		for _, id := range rec.Snapshot.RecentIDs {
-			g.markCommitted(id)
+			g.committed.Put(id, struct{}{})
 		}
 	}
 	for i := range rec.Records {
@@ -49,9 +49,9 @@ func (g *Gateway) recoverDurable() {
 				g.ctx.Logf("replica: wal replay apply %s: %v", fmtID(r.ID), err)
 			}
 		}
-		g.markCommitted(r.ID)
-		g.rememberBody(consistency.Request{ID: r.ID, Method: r.Method, Payload: r.Payload})
-		g.observeAssign(r.ID, r.GSN)
+		g.committed.Put(r.ID, struct{}{})
+		g.recentBodies.Put(r.ID, consistency.Request{ID: r.ID, Method: r.Method, Payload: r.Payload})
+		g.observedAssigns.Put(r.ID, r.GSN)
 	}
 	g.commit.Bootstrap(rec.CSN)
 	// Restore the durable assignment table above the commit frontier: the
@@ -60,7 +60,7 @@ func (g *Gateway) recoverDurable() {
 	// this node re-learns them from its GSNReport (REVIEW: acked frontiers
 	// must survive crash-recovery, not just the released prefix).
 	for _, a := range rec.Assigns {
-		g.observeAssign(a.ID, a.GSN)
+		g.observedAssigns.Put(a.ID, a.GSN)
 		g.commit.AddAssign(consistency.GSNAssign{ID: a.ID, GSN: a.GSN, Update: true})
 	}
 	g.applied = rec.CSN
@@ -121,7 +121,7 @@ func (g *Gateway) walFoldTail(rec *wal.Recovered) {
 		g.walFail(fmt.Sprintf("recovery fold at %d", rec.CSN), err)
 		return
 	}
-	g.walSaveSnapshot(rec.CSN, snap, g.recentCommittedIDs(1024))
+	g.walSaveSnapshot(rec.CSN, snap, g.recentCommittedIDs())
 }
 
 // releaseRun makes one run of released commits durable — a single WAL
@@ -243,5 +243,5 @@ func (g *Gateway) maybeCompact() {
 		g.ctx.Logf("replica: compaction snapshot failed: %v", err)
 		return
 	}
-	g.walSaveSnapshot(g.applied, snap, g.recentCommittedIDs(1024))
+	g.walSaveSnapshot(g.applied, snap, g.recentCommittedIDs())
 }

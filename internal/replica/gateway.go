@@ -198,23 +198,20 @@ type Gateway struct {
 
 	// recentBodies retains recently committed update bodies so peers whose
 	// copy of a client multicast was lost can recover them (BodyRequest).
-	recentBodies map[consistency.RequestID]consistency.Request
-	recentOrder  []consistency.RequestID
+	recentBodies *consistency.Memo[consistency.Request]
 
 	// observedAssigns remembers every update GSN assignment this primary
 	// has seen, across sequencer eras (bounded FIFO). A new sequencer
 	// consults it before assigning: re-issuing the original number for a
 	// retransmitted request keeps the group's order identical everywhere.
-	observedAssigns      map[consistency.RequestID]uint64
-	observedAssignsOrder []consistency.RequestID
+	observedAssigns *consistency.Memo[uint64]
 
 	// committed is the commit-dedup memo: request IDs whose update has
 	// been applied (or deliberately skipped as a duplicate). A client
 	// retransmission re-sequenced after a sequencer failover arrives as a
 	// second (GSN, body) pair; the memo turns its application into a
 	// reply-only no-op on every replica.
-	committed      map[consistency.RequestID]bool
-	committedOrder []consistency.RequestID
+	committed *consistency.Memo[struct{}]
 
 	// Publisher measurement counters (Section 5.4.1).
 	updatesSinceBroadcast int       // nu
@@ -265,6 +262,21 @@ type Gateway struct {
 
 var _ node.Node = (*Gateway)(nil)
 
+// Sizes of the replica's request memos (consistency.Memo) and of the ID
+// lists cut from them. They are fixed, not configurable.
+const (
+	// assignMemoSize matches the sequencer's memo: takeover re-issues its GSNs.
+	assignMemoSize = 4096
+	// commitMemoSize keeps a re-sequenced retransmission a reply-only no-op.
+	commitMemoSize = 4096
+	// bodyMemoSize covers the BodyRequests of peers a few commits behind.
+	bodyMemoSize = 1024
+	// recentIDsLimit caps the committed IDs a snapshot carries for dedup.
+	recentIDsLimit = 1024
+	// reportAssignsLimit caps the assignments a takeover GSNReport carries.
+	reportAssignsLimit = 1024
+)
+
 // New creates a replica gateway. The caller registers it with a runtime
 // under its node ID.
 func New(cfg Config) *Gateway {
@@ -280,9 +292,9 @@ func New(cfg Config) *Gateway {
 		commit:          consistency.NewCommitBuffer(),
 		reads:           consistency.NewReadBuffer(0),
 		bodyArrived:     make(map[consistency.RequestID]time.Time),
-		recentBodies:    make(map[consistency.RequestID]consistency.Request),
-		committed:       make(map[consistency.RequestID]bool),
-		observedAssigns: make(map[consistency.RequestID]uint64),
+		recentBodies:    consistency.NewMemo[consistency.Request](bodyMemoSize),
+		committed:       consistency.NewMemo[struct{}](commitMemoSize),
+		observedAssigns: consistency.NewMemo[uint64](assignMemoSize),
 	}
 }
 

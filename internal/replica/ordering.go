@@ -113,15 +113,9 @@ func (g *Gateway) onOrderCommit(oc consistency.OrderCommit) {
 func (g *Gateway) buildGSNReport(epoch uint64) consistency.GSNReport {
 	r := consistency.GSNReport{Epoch: epoch, GSN: g.commit.MyGSN()}
 	if g.cfg.ReplicatedAssign && g.cfg.Primary {
-		const maxReport = 1024
-		ids := g.observedAssignsOrder
-		if len(ids) > maxReport {
-			ids = ids[len(ids)-maxReport:]
-		}
-		for _, id := range ids {
-			r.Assigns = append(r.Assigns, consistency.GSNAssign{
-				ID: id, GSN: g.observedAssigns[id], Update: true,
-			})
+		for _, id := range g.observedAssigns.Recent(nil, reportAssignsLimit) {
+			gsn, _ := g.observedAssigns.Get(id)
+			r.Assigns = append(r.Assigns, consistency.GSNAssign{ID: id, GSN: gsn, Update: true})
 		}
 	}
 	return r
@@ -134,7 +128,7 @@ func (g *Gateway) mergeReportAssigns(assigns []consistency.GSNAssign) {
 		return
 	}
 	for _, a := range assigns {
-		g.observeAssign(a.ID, a.GSN)
+		g.observedAssigns.Put(a.ID, a.GSN)
 		g.enqueueCommits(g.commit.AddAssign(a))
 	}
 	g.maybeAckAssigns()

@@ -300,7 +300,7 @@ func (g *Gateway) flushAssignBatch() {
 	var dups []consistency.GSNAssign
 	candidates := g.batchFresh[:0]
 	for _, id := range g.batchUpdates {
-		if gsn, seen := g.observedAssigns[id]; seen {
+		if gsn, seen := g.observedAssigns.Get(id); seen {
 			dups = append(dups, consistency.GSNAssign{ID: id, GSN: gsn, Update: true})
 			continue
 		}

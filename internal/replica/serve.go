@@ -86,7 +86,7 @@ func (g *Gateway) onAssign(a consistency.GSNAssign) {
 func (g *Gateway) onAssignBatch(ab consistency.GSNAssignBatch) {
 	if g.cfg.Primary && len(ab.Updates) > 0 {
 		for i, id := range ab.Updates {
-			g.observeAssign(id, ab.First+uint64(i))
+			g.observedAssigns.Put(id, ab.First+uint64(i))
 		}
 		g.enqueueCommits(g.commit.AddAssignBatch(ab.First, ab.Updates))
 		g.maybeAckAssigns()
@@ -118,10 +118,9 @@ func (g *Gateway) enqueueCommits(commits []consistency.Request) {
 			arrived = now
 		}
 		delete(g.bodyArrived, req.ID)
-		dup := g.committed[req.ID]
+		dup := !g.committed.Put(req.ID, struct{}{})
 		if !dup {
-			g.markCommitted(req.ID)
-			g.rememberBody(req)
+			g.recentBodies.Put(req.ID, req)
 		}
 		run = append(run, job{
 			kind:      jobUpdate,
@@ -143,21 +142,6 @@ func (g *Gateway) enqueueCommits(commits []consistency.Request) {
 	g.updatesSinceLazy += len(commits)
 	g.releaseCommitWaiters()
 	g.observeDepths()
-}
-
-// observeAssign records an update assignment in the cross-era memo.
-func (g *Gateway) observeAssign(id consistency.RequestID, gsn uint64) {
-	const maxObserved = 4096
-	if _, dup := g.observedAssigns[id]; dup {
-		return
-	}
-	g.observedAssigns[id] = gsn
-	g.observedAssignsOrder = append(g.observedAssignsOrder, id)
-	if len(g.observedAssignsOrder) > maxObserved {
-		victim := g.observedAssignsOrder[0]
-		g.observedAssignsOrder = g.observedAssignsOrder[1:]
-		delete(g.observedAssigns, victim)
-	}
 }
 
 // stateHash digests the application state for anti-entropy comparison.
@@ -187,47 +171,11 @@ func (g *Gateway) onDigest(from node.ID, d consistency.DigestAnnounce) {
 	}
 }
 
-// markCommitted records a request ID in the bounded commit-dedup memo.
-func (g *Gateway) markCommitted(id consistency.RequestID) {
-	const maxCommitted = 4096
-	if g.committed[id] {
-		return
-	}
-	g.committed[id] = true
-	g.committedOrder = append(g.committedOrder, id)
-	if len(g.committedOrder) > maxCommitted {
-		victim := g.committedOrder[0]
-		g.committedOrder = g.committedOrder[1:]
-		delete(g.committed, victim)
-	}
-}
-
-// recentCommittedIDs returns up to limit most recent committed request IDs
-// for snapshot transfer.
-func (g *Gateway) recentCommittedIDs(limit int) []consistency.RequestID {
-	ids := g.committedOrder
-	if len(ids) > limit {
-		ids = ids[len(ids)-limit:]
-	}
-	out := make([]consistency.RequestID, len(ids))
-	copy(out, ids)
-	return out
-}
-
-// rememberBody retains a committed update body (bounded FIFO) for peer
-// body recovery.
-func (g *Gateway) rememberBody(req consistency.Request) {
-	const maxRecent = 1024
-	if _, dup := g.recentBodies[req.ID]; dup {
-		return
-	}
-	g.recentBodies[req.ID] = req
-	g.recentOrder = append(g.recentOrder, req.ID)
-	if len(g.recentOrder) > maxRecent {
-		victim := g.recentOrder[0]
-		g.recentOrder = g.recentOrder[1:]
-		delete(g.recentBodies, victim)
-	}
+// recentCommittedIDs returns the newest committed request IDs, up to
+// recentIDsLimit, for snapshot transfer.
+func (g *Gateway) recentCommittedIDs() []consistency.RequestID {
+	out := make([]consistency.RequestID, 0, min(g.committed.Len(), recentIDsLimit))
+	return g.committed.Recent(out, recentIDsLimit)
 }
 
 // onBodyRequest serves a peer's missing update body from the commit buffer
@@ -237,7 +185,7 @@ func (g *Gateway) onBodyRequest(from node.ID, br consistency.BodyRequest) {
 		g.stack.Send(from, req)
 		return
 	}
-	if req, ok := g.recentBodies[br.ID]; ok {
+	if req, ok := g.recentBodies.Get(br.ID); ok {
 		g.stack.Send(from, req)
 	}
 }
@@ -479,7 +427,7 @@ func (g *Gateway) onSyncRequest(from node.ID) {
 	g.stack.Send(from, consistency.StateUpdate{
 		CSN:       g.applied,
 		Snapshot:  snapshot,
-		RecentIDs: g.recentCommittedIDs(1024),
+		RecentIDs: g.recentCommittedIDs(),
 	})
 }
 
@@ -507,7 +455,7 @@ func (g *Gateway) onStateUpdate(su consistency.StateUpdate) {
 		g.cfg.OnRestore(su.CSN)
 	}
 	for _, id := range su.RecentIDs {
-		g.markCommitted(id)
+		g.committed.Put(id, struct{}{})
 	}
 	// The installed snapshot subsumes the log: persist it as the new
 	// durable baseline (the cell is written before the log reset, so a
@@ -525,7 +473,7 @@ func (g *Gateway) onStateUpdate(su consistency.StateUpdate) {
 	// run and queue them (the apply guard in complete() keeps ordering safe).
 	var run []job
 	for i, req := range g.commit.SkipTo(su.CSN) {
-		g.rememberBody(req)
+		g.recentBodies.Put(req.ID, req)
 		run = append(run, job{kind: jobUpdate, req: req, from: req.ID.Client,
 			gsn: su.CSN + uint64(i) + 1, arrivedAt: g.ctx.Now()})
 	}
@@ -577,7 +525,7 @@ func (g *Gateway) lazyTick() {
 		su := consistency.StateUpdate{
 			CSN:       g.applied,
 			Snapshot:  snapshot,
-			RecentIDs: g.recentCommittedIDs(1024),
+			RecentIDs: g.recentCommittedIDs(),
 		}
 		for _, id := range g.cfg.Secondaries {
 			g.stack.Send(id, su)

@@ -524,7 +524,7 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.Seq = r.Uvarint()
 		m.Payload = decodeMessage(r, depth+1)
 		if r.arena != nil {
-			return r.arena.putDataMsg(m)
+			return slot(&r.arena.dataMsgs, m)
 		}
 		return m
 	case tagAckMsg:
@@ -534,12 +534,12 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.Gen = r.Uvarint()
 		m.Expected = r.Uvarint()
 		if r.arena != nil {
-			return r.arena.putAck(m)
+			return slot(&r.arena.acks, m)
 		}
 		return m
 	case tagHeartbeatMsg:
 		if r.arena != nil {
-			return r.arena.putHeartbeat(group.HeartbeatMsg{Group: r.str()})
+			return slot(&r.arena.hbs, group.HeartbeatMsg{Group: r.str()})
 		}
 		return group.HeartbeatMsg{Group: r.str()}
 	case tagRequest:
@@ -550,7 +550,7 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.ReadOnly = r.Bool()
 		m.Staleness = int(r.Varint())
 		if r.arena != nil {
-			return r.arena.putRequest(m)
+			return slot(&r.arena.reqs, m)
 		}
 		return m
 	case tagReply:
@@ -563,7 +563,7 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.Replica = r.id()
 		m.Deferred = r.Bool()
 		if r.arena != nil {
-			return r.arena.putReply(m)
+			return slot(&r.arena.replies, m)
 		}
 		return m
 	case tagGSNAssign:
@@ -572,7 +572,7 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.GSN = r.Uvarint()
 		m.Update = r.Bool()
 		if r.arena != nil {
-			return r.arena.putAssign(m)
+			return slot(&r.arena.assigns, m)
 		}
 		return m
 	case tagGSNRequest:
@@ -608,7 +608,7 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.Snapshot = r.bytes()
 		m.RecentIDs = r.requestIDs()
 		if r.arena != nil {
-			return r.arena.putStateUpdate(m)
+			return slot(&r.arena.sus, m)
 		}
 		return m
 	case tagPerfBroadcast:
@@ -640,7 +640,7 @@ func decodeMessage(r *wireReader, depth int) node.Message {
 		m.ReadGSN = r.Uvarint()
 		m.Reads = r.requestIDs()
 		if r.arena != nil {
-			return r.arena.putAssignBatch(m)
+			return slot(&r.arena.batches, m)
 		}
 		return m
 	case tagShardMapAnnounce:

@@ -45,82 +45,15 @@ type decodeArena struct {
 	ids      []consistency.RequestID
 }
 
-func (a *decodeArena) putDataMsg(m group.DataMsg) *group.DataMsg {
-	if len(a.dataMsgs) == 0 {
-		a.dataMsgs = make([]group.DataMsg, arenaSlab)
+// slot copies m into the next free element of a typed slab, refilling the
+// slab with arenaSlab fresh elements when it runs out, and returns its
+// address.
+func slot[T any](slab *[]T, m T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, arenaSlab)
 	}
-	p := &a.dataMsgs[0]
-	a.dataMsgs = a.dataMsgs[1:]
-	*p = m
-	return p
-}
-
-func (a *decodeArena) putAck(m group.AckMsg) *group.AckMsg {
-	if len(a.acks) == 0 {
-		a.acks = make([]group.AckMsg, arenaSlab)
-	}
-	p := &a.acks[0]
-	a.acks = a.acks[1:]
-	*p = m
-	return p
-}
-
-func (a *decodeArena) putHeartbeat(m group.HeartbeatMsg) *group.HeartbeatMsg {
-	if len(a.hbs) == 0 {
-		a.hbs = make([]group.HeartbeatMsg, arenaSlab)
-	}
-	p := &a.hbs[0]
-	a.hbs = a.hbs[1:]
-	*p = m
-	return p
-}
-
-func (a *decodeArena) putRequest(m consistency.Request) *consistency.Request {
-	if len(a.reqs) == 0 {
-		a.reqs = make([]consistency.Request, arenaSlab)
-	}
-	p := &a.reqs[0]
-	a.reqs = a.reqs[1:]
-	*p = m
-	return p
-}
-
-func (a *decodeArena) putReply(m consistency.Reply) *consistency.Reply {
-	if len(a.replies) == 0 {
-		a.replies = make([]consistency.Reply, arenaSlab)
-	}
-	p := &a.replies[0]
-	a.replies = a.replies[1:]
-	*p = m
-	return p
-}
-
-func (a *decodeArena) putAssign(m consistency.GSNAssign) *consistency.GSNAssign {
-	if len(a.assigns) == 0 {
-		a.assigns = make([]consistency.GSNAssign, arenaSlab)
-	}
-	p := &a.assigns[0]
-	a.assigns = a.assigns[1:]
-	*p = m
-	return p
-}
-
-func (a *decodeArena) putAssignBatch(m consistency.GSNAssignBatch) *consistency.GSNAssignBatch {
-	if len(a.batches) == 0 {
-		a.batches = make([]consistency.GSNAssignBatch, arenaSlab)
-	}
-	p := &a.batches[0]
-	a.batches = a.batches[1:]
-	*p = m
-	return p
-}
-
-func (a *decodeArena) putStateUpdate(m consistency.StateUpdate) *consistency.StateUpdate {
-	if len(a.sus) == 0 {
-		a.sus = make([]consistency.StateUpdate, arenaSlab)
-	}
-	p := &a.sus[0]
-	a.sus = a.sus[1:]
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
 	*p = m
 	return p
 }
