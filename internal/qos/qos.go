@@ -1,8 +1,10 @@
 // Package qos implements the paper's QoS model (Section 2): consistency as
 // the two-dimensional attribute <ordering guarantee, staleness threshold>,
-// timeliness as the pair <response time, probability of meeting it>, the
-// read-only method registry that lets the middleware distinguish reads from
-// updates, and the timing-failure detector of Section 5.4.
+// where the ordering is always sequential, so a client's consistency choice
+// reduces to the staleness threshold; timeliness as the pair <response time,
+// probability of meeting it>; the read-only method registry that lets the
+// middleware distinguish reads from updates; and the timing-failure detector
+// of Section 5.4.
 package qos
 
 import (
@@ -11,31 +13,10 @@ import (
 	"time"
 )
 
-// Ordering is the service-specific ordering guarantee.
-type Ordering int
-
-// Ordering guarantees the framework's handlers implement. The paper targets
-// sequential ordering; the FIFO handler exists as the "service B" example.
-const (
-	Sequential Ordering = iota + 1
-	FIFO
-)
-
-// String implements fmt.Stringer.
-func (o Ordering) String() string {
-	switch o {
-	case Sequential:
-		return "sequential"
-	case FIFO:
-		return "fifo"
-	default:
-		return fmt.Sprintf("ordering(%d)", int(o))
-	}
-}
-
 // Spec is a client's QoS specification for its read-only requests: "a copy
 // ... that is not more than Staleness versions old within Deadline with a
-// probability of at least MinProb".
+// probability of at least MinProb". The ordering guarantee is always
+// sequential, so Staleness is the whole consistency attribute.
 type Spec struct {
 	// Staleness is the maximum number of committed-but-unseen updates the
 	// client tolerates in a response (threshold a, in versions).
@@ -53,7 +34,7 @@ func (s Spec) Validate() error {
 		return errors.New("qos: staleness threshold must be >= 0")
 	case s.Deadline <= 0:
 		return errors.New("qos: deadline must be positive")
-	case s.MinProb < 0 || s.MinProb > 1:
+	case !(s.MinProb >= 0 && s.MinProb <= 1): // also rejects NaN
 		return errors.New("qos: probability must be in [0,1]")
 	default:
 		return nil

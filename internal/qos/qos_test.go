@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ func TestSpecValidate(t *testing.T) {
 		{"zero deadline", Spec{Staleness: 1, Deadline: 0, MinProb: 0.5}, true},
 		{"prob too high", Spec{Staleness: 1, Deadline: time.Second, MinProb: 1.5}, true},
 		{"prob negative", Spec{Staleness: 1, Deadline: time.Second, MinProb: -0.1}, true},
+		{"prob NaN", Spec{Staleness: 1, Deadline: time.Second, MinProb: math.NaN()}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -33,15 +35,6 @@ func TestSpecString(t *testing.T) {
 	got := s.String()
 	if !strings.Contains(got, "5") || !strings.Contains(got, "2s") || !strings.Contains(got, "0.70") {
 		t.Fatalf("String() = %q", got)
-	}
-}
-
-func TestOrderingString(t *testing.T) {
-	if Sequential.String() != "sequential" || FIFO.String() != "fifo" {
-		t.Fatal("ordering names wrong")
-	}
-	if got := Ordering(99).String(); !strings.Contains(got, "99") {
-		t.Fatalf("unknown ordering = %q", got)
 	}
 }
 

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the aquad and aquacli binaries on 127.0.0.1:
-#   1. the README topology (p00 | p01 | p02+s00 in three daemons) with
+#   1. `aquacli -prob NaN` must exit non-zero with an error naming the
+#      probability; the spec is validated before any socket opens, so this
+#      step needs no daemon and no port;
+#   2. the README topology (p00 | p01 | p02+s00 in three daemons) with
 #      -wal-dir and -replicated-assign, driven by `aquacli -op bench -n 20`;
-#   2. SIGINT every daemon, restart them on the same WAL directories: every
+#   3. SIGINT every daemon, restart them on the same WAL directories: every
 #      primary must log its recovery to CSN 10 and `aquacli -op get
 #      -staleness 0` must read the last value back;
-#   3. the same two steps against one `aquad -shards 1` process, which must
+#   4. the same two steps against one `aquad -shards 1` process, which must
 #      leave one WAL directory per replica.
 # Usage: bash scripts/smoke-binaries.sh   (listens on ports 7100-7300)
 set -euo pipefail
@@ -69,6 +72,12 @@ bench_then_recover() {
 	stop_all
 	rm -f "$work"/*.log
 }
+
+if "$work/aquacli" -prob NaN -op get 2>"$work/nan.err" >/dev/null; then
+	fail "aquacli -prob NaN exited 0"
+fi
+grep -q 'probability' "$work/nan.err" || fail "aquacli -prob NaN: no probability error: $(cat "$work/nan.err")"
+echo "smoke: aquacli rejects -prob NaN"
 
 CLUSTER="p00=127.0.0.1:7100,p01=127.0.0.1:7101,p02=127.0.0.1:7200,s00=127.0.0.1:7201,c00=127.0.0.1:7300"
 start_cluster() {
