@@ -142,6 +142,9 @@ type ClientConfig struct {
 	// would mask the deferred-read latency tail the evaluation measures.
 	RetryInterval time.Duration
 	MaxRetries    int
+	// MaxPending bounds the requests the client remembers, answered or
+	// not (0 = the client default, 1024). See client.Config.
+	MaxPending int
 	// Driver, if set, runs once at Init in the client's node context —
 	// the workload generator's entry point.
 	Driver func(ctx node.Context, gw *client.Gateway)
@@ -450,6 +453,7 @@ func ClientGatewayConfig(svc ServiceConfig, c ClientConfig) client.Config {
 		OnSelect:         c.OnSelect,
 		RetryInterval:    c.RetryInterval,
 		MaxRetries:       c.MaxRetries,
+		MaxPending:       c.MaxPending,
 		Obs:              reg,
 		Tracer:           tracer,
 	}

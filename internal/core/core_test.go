@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -605,5 +606,56 @@ func TestNewReplicaGatewayUnknownID(t *testing.T) {
 	}
 	if _, err := d.NewReplicaGateway("s00"); err != nil {
 		t.Fatalf("secondary rebuild failed: %v", err)
+	}
+}
+
+// TestClientMaxPendingReachesGateway: ClientConfig.MaxPending sizes the
+// deployed client's request memo. Three invocations issued at once under a
+// bound of two evict the first before any reply can arrive; zero keeps the
+// client default (1024), so all three complete.
+func TestClientMaxPendingReachesGateway(t *testing.T) {
+	for _, tc := range []struct {
+		maxPending  int
+		wantEvicted int
+	}{{2, 1}, {0, 0}} {
+		t.Run(fmt.Sprintf("MaxPending=%d", tc.maxPending), func(t *testing.T) {
+			s, rt := newSim(22)
+			var got []client.Result
+			clients := []ClientConfig{{
+				ID:         "c00",
+				Spec:       qos.Spec{Staleness: 0, Deadline: 500 * ms, MinProb: 0.5},
+				Methods:    kvMethods(),
+				MaxPending: tc.maxPending,
+				Driver: func(ctx node.Context, gw *client.Gateway) {
+					ctx.SetTimer(10*ms, func() {
+						for i := 0; i < 3; i++ {
+							gw.Invoke("Set", []byte(fmt.Sprintf("k%d=1", i)), func(r client.Result) {
+								got = append(got, r)
+							})
+						}
+					})
+				},
+			}}
+			if _, err := Deploy(rt, testService(3, 1, time.Second), clients); err != nil {
+				t.Fatal(err)
+			}
+			rt.Start()
+			s.RunFor(5 * time.Second)
+
+			if len(got) != 3 {
+				t.Fatalf("%d callbacks fired, want 3", len(got))
+			}
+			evicted := 0
+			for _, r := range got {
+				if strings.Contains(r.Err, "evicted") {
+					evicted++
+				} else if r.Err != "" {
+					t.Fatalf("unexpected failure %+v", r)
+				}
+			}
+			if evicted != tc.wantEvicted {
+				t.Fatalf("%d invocations evicted, want %d: %+v", evicted, tc.wantEvicted, got)
+			}
+		})
 	}
 }

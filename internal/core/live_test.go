@@ -64,6 +64,42 @@ func TestLiveRuntimeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLiveIdleFlushBeatsWindowTimer: on the live runtime a request that
+// reaches an idle sequencer leaves at the mailbox drain, not at the window
+// timer. With a 256-request window and an hour-long AssignBatchWindow, one
+// Set is answered within seconds only if the idle flush sent it.
+func TestLiveIdleFlushBeatsWindowTimer(t *testing.T) {
+	rt := live.NewRuntime(live.WithSeed(43))
+	done := make(chan client.Result, 1)
+	clients := []ClientConfig{{
+		ID:      "c00",
+		Spec:    qos.Spec{Staleness: 0, Deadline: 500 * ms, MinProb: 0.5},
+		Methods: kvMethods(),
+		Driver: func(ctx node.Context, gw *client.Gateway) {
+			ctx.SetTimer(10*ms, func() {
+				gw.Invoke("Set", []byte("a=idle"), func(r client.Result) { done <- r })
+			})
+		},
+	}}
+	svc := testService(3, 1, 500*ms)
+	svc.AssignBatch = 256
+	svc.AssignBatchWindow = time.Hour
+	if _, err := Deploy(rt, svc, clients); err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Stop()
+
+	select {
+	case r := <-done:
+		if r.Err != "" || string(r.Payload) != "v1" {
+			t.Fatalf("write = %+v", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Set unanswered after 5 s: the window waited for its hour-long timer")
+	}
+}
+
 // TestLiveTCPEndToEnd splits the deployment across two "processes" (two
 // live runtimes bridged by real TCP): replicas in one, the client in the
 // other.

@@ -1,7 +1,8 @@
 // Package live is the real-time runtime: every node gets a mailbox
 // goroutine that serializes its message and timer callbacks, exactly
 // matching the execution model protocol code sees under the simulator —
-// the same gateways run unchanged on either. Delivery is in-process by
+// the same gateways run unchanged on either (a node's OnIdle hook, which the
+// simulator never fires, is the one difference). Delivery is in-process by
 // default; a RemoteSender hook (implemented by tcpnet) routes messages for
 // node IDs not registered locally.
 //
@@ -144,6 +145,7 @@ func (r *Runtime) Stop() {
 		return
 	}
 	r.stopped = true
+	started := r.started
 	nodes := make([]*liveNode, 0, len(r.nodes))
 	for _, n := range r.nodes {
 		nodes = append(nodes, n)
@@ -151,7 +153,7 @@ func (r *Runtime) Stop() {
 	r.mu.Unlock()
 
 	for _, n := range nodes {
-		n.stop()
+		n.stop(started)
 	}
 }
 
@@ -166,9 +168,10 @@ func (r *Runtime) StopNode(id node.ID) {
 		delete(r.nodes, id)
 		r.publishNodesLocked()
 	}
+	started := r.started
 	r.mu.Unlock()
 	if ok {
-		n.stop()
+		n.stop(started)
 	}
 }
 
@@ -230,6 +233,9 @@ type liveNode struct {
 
 	mb   *mailbox
 	done chan struct{}
+
+	// idle is the OnIdle hook; only the node's own goroutine touches it.
+	idle func()
 }
 
 var _ node.Context = (*liveNode)(nil)
@@ -278,6 +284,9 @@ func (l *liveNode) run() {
 			spare = c
 			c = next
 		}
+		if l.idle != nil && l.mb.empty() {
+			l.idle()
+		}
 	}
 }
 
@@ -307,9 +316,14 @@ func (l *liveNode) enqueueBatch(envs []envelope) {
 	l.mb.putBatch(envs)
 }
 
-func (l *liveNode) stop() {
+// stop ends the mailbox and, when the node's goroutine was started (wait),
+// waits for it to exit. A node that was never started has no goroutine to
+// close done, so waiting would hang.
+func (l *liveNode) stop(wait bool) {
 	l.mb.stop()
-	<-l.done
+	if wait {
+		<-l.done
+	}
 }
 
 // ID implements node.Context.
@@ -404,6 +418,11 @@ func (l *liveNode) Post(d time.Duration, f func()) {
 		l.enqueue(envelope{timer: f})
 	})
 }
+
+// OnIdle implements node.Context: f runs on the mailbox goroutine after a
+// batch of callbacks, once the mailbox is found empty. Checking costs one
+// mailbox lock per drained batch, paid only by nodes that registered.
+func (l *liveNode) OnIdle(f func()) { l.idle = f }
 
 // Logf implements node.Context.
 func (l *liveNode) Logf(format string, args ...interface{}) {

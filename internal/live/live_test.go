@@ -233,3 +233,70 @@ func TestLiveStopNode(t *testing.T) {
 	rt.StopNode("b") // idempotent
 	rt.StopNode("ghost")
 }
+
+// TestStopBeforeStart: stopping a runtime (or one of its nodes) that was
+// never started returns at once. Only a started node has a goroutine to
+// wait for; deployment error paths stop the runtime before Start.
+func TestStopBeforeStart(t *testing.T) {
+	for name, stop := range map[string]func(*Runtime){
+		"Stop":     func(rt *Runtime) { rt.Stop() },
+		"StopNode": func(rt *Runtime) { rt.StopNode("a") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rt := NewRuntime()
+			rt.Register("a", &node.FuncNode{})
+			returned := make(chan struct{})
+			go func() {
+				stop(rt)
+				close(returned)
+			}()
+			select {
+			case <-returned:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s on a never-started runtime hung", name)
+			}
+		})
+	}
+}
+
+// TestOnIdleRunsAfterDrain: the idle hook runs on the node's goroutine
+// (the race detector sees the unsynchronized counter it shares with Recv)
+// and only once the mailbox is empty. Messages queued behind a blocked
+// Recv keep the mailbox non-empty when that batch ends, so the one idle
+// call comes after all of them.
+func TestOnIdleRunsAfterDrain(t *testing.T) {
+	rt := NewRuntime()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var delivered, idles atomic.Int64
+	recvd := 0         // node goroutine only
+	var idleSeen []int // node goroutine only; read after Stop
+	rt.Register("a", &node.FuncNode{
+		OnInit: func(ctx node.Context) {
+			ctx.OnIdle(func() {
+				idleSeen = append(idleSeen, recvd)
+				idles.Add(1)
+			})
+		},
+		OnRecv: func(_ node.ID, m node.Message) {
+			if m.(int) == 0 {
+				close(entered)
+				<-release
+			}
+			recvd++
+			delivered.Add(1)
+		},
+	})
+	rt.Start()
+	rt.Inject("x", "a", 0)
+	<-entered
+	for i := 1; i < 10; i++ {
+		rt.Inject("x", "a", i)
+	}
+	close(release)
+	waitFor(t, func() bool { return delivered.Load() == 10 && idles.Load() == 1 }, "10 deliveries, then idle")
+	rt.Stop() // the node goroutine has exited: idleSeen is safe to read
+	if len(idleSeen) != 1 || idleSeen[0] != 10 {
+		t.Fatalf("idle hook saw deliveries %v, want [10]: it ran before the mailbox drained", idleSeen)
+	}
+}

@@ -136,6 +136,16 @@ func (m *mailbox) take(spare *mchunk) (chain *mchunk, ok bool) {
 	}
 }
 
+// empty reports whether nothing is pending. The consumer asks after a
+// drain; a producer may fill the mailbox right after, which the next take
+// picks up as usual.
+func (m *mailbox) empty() bool {
+	m.mu.Lock()
+	e := m.head == nil
+	m.mu.Unlock()
+	return e
+}
+
 func (m *mailbox) spliceFreeLocked(spare *mchunk) {
 	tail := spare
 	for tail.next != nil {

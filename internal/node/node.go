@@ -6,7 +6,10 @@
 // (internal/sim) used by the experiments and integration tests, and the
 // real-time goroutine runtime (internal/live) used by the example binaries.
 // Because both runtimes serialize all callbacks delivered to a given node,
-// protocol code needs no locking and behaves identically on either runtime.
+// protocol code needs no locking and runs unchanged on either runtime. The
+// one callback whose timing differs is OnIdle: the live runtime runs it
+// whenever a node's mailbox drains, while the simulator never does, so code
+// that registers one must stay correct (if slower) without it.
 package node
 
 import (
@@ -53,6 +56,15 @@ type Context interface {
 	// service delays, think times): the simulator runs it without the
 	// per-timer cancel closure SetTimer must allocate.
 	Post(d time.Duration, f func())
+
+	// OnIdle registers f to run in this node's context whenever the runtime
+	// finds the node's mailbox empty after delivering work to it; a later
+	// call replaces f, and nil removes it. It is a latency hint, not an
+	// event: the live runtime runs f after each drained batch of callbacks,
+	// the simulator never runs it (in virtual time a timer alone paces the
+	// work f would hurry along), so f must only do early what a timer the
+	// node armed itself would do anyway.
+	OnIdle(f func())
 
 	// Rand returns this node's private random source. The simulator seeds
 	// it deterministically from the run seed and the node ID.

@@ -61,7 +61,10 @@ type Config struct {
 	// AssignBatchWindow bounds how long a non-full assignment window
 	// accumulates before flushing. 0 flushes at the end of the current
 	// virtual instant (coalescing only same-instant arrivals). A window of
-	// one never waits.
+	// one never waits. On the live runtime it also spaces the idle flush:
+	// a sequencer whose mailbox drains flushes a non-empty window at once
+	// if its last flush is at least AssignBatchWindow old, so a request
+	// reaching an idle sequencer leaves without waiting for the timer.
 	AssignBatchWindow time.Duration
 	// SeqCostBase and SeqCostPerReq model the sequencer's ordering-pipeline
 	// occupancy: each assignment broadcast holds the pipeline for
@@ -161,13 +164,14 @@ type Gateway struct {
 	heldRequests     []heldRequest
 
 	// Assignment-window state (sequencer role): the accumulating window, its
-	// flush timer, and the scratch that filters memoized duplicates out of a
-	// flush.
+	// flush timer, the scratch that filters memoized duplicates out of a
+	// flush, and when the last flush happened (it spaces idle flushes).
 	batchUpdates    []consistency.RequestID
 	batchReads      []consistency.RequestID
 	batchFresh      []consistency.RequestID
 	batchFlushArmed bool
 	batchFlushFn    func()
+	lastFlushAt     time.Time
 
 	// seqBusyUntil is the modeled ordering pipeline's occupancy horizon
 	// (SeqCostBase/SeqCostPerReq); zero value means idle.
@@ -311,6 +315,9 @@ func (g *Gateway) Init(ctx node.Context) {
 	}
 	g.lastBroadcastAt = ctx.Now()
 	g.lastLazyAt = ctx.Now()
+	if g.cfg.Primary && g.cfg.AssignBatch > 1 {
+		ctx.OnIdle(g.idleFlush)
+	}
 	g.stack = group.NewStack(ctx, g.cfg.Group, g.handleDelivery)
 	g.sequencerID = sortedFirst(g.cfg.PrimaryGroup)
 	g.ins = newReplicaInstruments(g.cfg.Obs, ctx.ID())

@@ -276,6 +276,19 @@ func (g *Gateway) batchRequest(req consistency.Request) {
 	}
 }
 
+// idleFlush is the OnIdle hook of a primary that batches: once the mailbox
+// has drained, nothing else is about to join the window, so a non-empty
+// window leaves now rather than at its timer — unless the last flush is
+// younger than AssignBatchWindow, which keeps a busy sequencer at one
+// broadcast per window, as before. The window timer stays armed: when it
+// fires it flushes whatever joined since, or finds the window empty.
+func (g *Gateway) idleFlush() {
+	if len(g.batchUpdates)+len(g.batchReads) > 0 &&
+		g.ctx.Now().Sub(g.lastFlushAt) >= g.cfg.AssignBatchWindow {
+		g.flushAssignBatch()
+	}
+}
+
 // flushAssignBatch assigns the pending window and broadcasts it as one
 // GSNAssignBatch: a contiguous GSN range for the fresh updates, one shared
 // snapshot at the post-update frontier for the reads. Requests some
@@ -327,6 +340,7 @@ func (g *Gateway) flushAssignBatch() {
 	}
 
 	n := len(g.batchUpdates) + len(g.batchReads)
+	g.lastFlushAt = g.ctx.Now()
 	g.assignFlushes++
 	g.assignFlushedReqs += uint64(n)
 	g.ins.assignBatchHist.Observe(float64(n))

@@ -324,6 +324,10 @@ func (c *nodeCtx) Post(d time.Duration, f func()) {
 	c.rt.sched.Post(d, c.timerRec(f).run)
 }
 
+// OnIdle implements node.Context: in virtual time there is no mailbox to
+// drain, so the hook never fires and timers alone pace a node's work.
+func (c *nodeCtx) OnIdle(func()) {}
+
 func (c *nodeCtx) Logf(format string, args ...interface{}) {
 	if c.rt.logW == nil {
 		return

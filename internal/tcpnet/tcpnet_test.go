@@ -240,12 +240,15 @@ func TestTCPConcurrentSendersFraming(t *testing.T) {
 	if wrong.Load() != 0 {
 		t.Fatalf("%d frames arrived corrupted", wrong.Load())
 	}
-	if sent := counterValue(t, reg, "tcpnet_messages_sent_total"); sent != senders*perSender {
-		t.Fatalf("messagesSent = %d, want %d", sent, senders*perSender)
+	// The writer counts a flush only after its conn.Write returns, which
+	// can be after the receiver already holds the frames: wait for the
+	// counters rather than read them once.
+	sent := func() uint64 { return counterValue(t, reg, "tcpnet_messages_sent_total") }
+	waitFor(t, func() bool { return sent() >= senders*perSender }, "messagesSent to count every frame")
+	if got := sent(); got != senders*perSender {
+		t.Fatalf("messagesSent = %d, want %d", got, senders*perSender)
 	}
-	if counterValue(t, reg, "tcpnet_bytes_sent_total") == 0 {
-		t.Fatal("bytesSent = 0, want > 0")
-	}
+	waitFor(t, func() bool { return counterValue(t, reg, "tcpnet_bytes_sent_total") > 0 }, "bytesSent > 0")
 }
 
 // TestTCPLargeFramesAcrossSlabs drives the inbound reader past its slab:
