@@ -57,7 +57,9 @@ type ServiceConfig struct {
 	// (one GSNAssignBatch broadcast per window). <= 1 is a window of one,
 	// the paper's per-request protocol. Update chases join the window too,
 	// so with AssignBatch > 1 a chase reply can wait up to
-	// AssignBatchWindow. See replica.Config.
+	// AssignBatchWindow. On the live runtime a window also leaves when the
+	// sequencer's mailbox drains: at every drain with Durable set, at most
+	// once per AssignBatchWindow without it. See replica.Config.
 	AssignBatch       int
 	AssignBatchWindow time.Duration
 	// SeqCostBase/SeqCostPerReq model the sequencer ordering pipeline's

@@ -100,6 +100,65 @@ func TestLiveIdleFlushBeatsWindowTimer(t *testing.T) {
 	}
 }
 
+// TestLiveDurableIdleFlushEveryDrain: a durable, replicated sequencer sends
+// a window at every mailbox drain, however recent its last flush. With a
+// 256-request window and an hour-long AssignBatchWindow, a second Set issued
+// right after the first is answered within seconds only if it did not wait
+// for the window timer.
+func TestLiveDurableIdleFlushEveryDrain(t *testing.T) {
+	dir := t.TempDir()
+	var medias []*wal.FileMedia
+	defer func() {
+		for _, m := range medias {
+			m.Close()
+		}
+	}()
+	rt := live.NewRuntime(live.WithSeed(44))
+	done := make(chan client.Result, 2)
+	clients := []ClientConfig{{
+		ID:      "c00",
+		Spec:    qos.Spec{Staleness: 0, Deadline: 500 * ms, MinProb: 0.5},
+		Methods: kvMethods(),
+		Driver: func(ctx node.Context, gw *client.Gateway) {
+			ctx.SetTimer(10*ms, func() {
+				gw.Invoke("Set", []byte("a=1"), func(r client.Result) {
+					done <- r
+					gw.Invoke("Set", []byte("a=2"), func(r client.Result) { done <- r })
+				})
+			})
+		},
+	}}
+	svc := testService(3, 1, 500*ms)
+	svc.AssignBatch = 256
+	svc.AssignBatchWindow = time.Hour
+	svc.Durable = true
+	svc.ReplicatedAssign = true
+	svc.NewMedia = func(id node.ID) (wal.Media, error) {
+		m, err := wal.NewFileMedia(filepath.Join(dir, string(id)))
+		if err != nil {
+			return nil, err
+		}
+		medias = append(medias, m)
+		return m, nil
+	}
+	if _, err := Deploy(rt, svc, clients); err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Stop()
+
+	for i, want := range []string{"v1", "v2"} {
+		select {
+		case r := <-done:
+			if r.Err != "" || string(r.Payload) != want {
+				t.Fatalf("write %d = %+v, want %s", i+1, r, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Set %d unanswered after 5 s: the window waited for its hour-long timer", i+1)
+		}
+	}
+}
+
 // TestLiveTCPEndToEnd splits the deployment across two "processes" (two
 // live runtimes bridged by real TCP): replicas in one, the client in the
 // other.

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,4 +184,63 @@ func TestLiveMailboxChunkBoundaries(t *testing.T) {
 	}
 	bat.Flush()
 	waitFor(t, func() bool { return got.Load() == total }, "chunk-boundary deliveries")
+}
+
+// TestDrainZeroesRecycledChunks: a drain that used only part of a chunk
+// clears just those envelopes, so every chunk it hands back for reuse must
+// still be all zero — no message, sender or timer reference left behind.
+func TestDrainZeroesRecycledChunks(t *testing.T) {
+	for _, n := range []int{5, chunkSize + 3} {
+		got := 0
+		l := newLiveNode(NewRuntime(), "a", &node.FuncNode{
+			OnRecv: func(node.ID, node.Message) { got++ },
+		}, nil)
+		for i := 0; i < n; i++ {
+			env := envelope{from: "src", msg: i}
+			if i%2 == 1 {
+				env = envelope{timer: func() { got++ }}
+			}
+			l.mb.put(env)
+		}
+		chain, _ := l.mb.take(nil)
+		spare := l.drain(chain)
+		if got != n {
+			t.Fatalf("%d envelopes: drain ran %d", n, got)
+		}
+		chunks := 0
+		for c := spare; c != nil; c = c.next {
+			chunks++
+			if c.w != 0 {
+				t.Fatalf("%d envelopes: recycled chunk keeps write cursor %d", n, c.w)
+			}
+			for i, env := range c.envs {
+				if env.from != "" || env.msg != nil || env.timer != nil || env.t != nil {
+					t.Fatalf("%d envelopes: recycled chunk keeps envelope %d: %+v", n, i, env)
+				}
+			}
+		}
+		if want := (n + chunkSize - 1) / chunkSize; chunks != want {
+			t.Fatalf("%d envelopes: drain returned %d chunks, want %d", n, chunks, want)
+		}
+	}
+}
+
+// BenchmarkMailboxDrain measures one drain of k queued messages: the
+// enqueue, the detach, the deliveries and the recycling of the chunk.
+func BenchmarkMailboxDrain(b *testing.B) {
+	var msg node.Message = 1
+	for _, k := range []int{1, 8, 64, chunkSize} {
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			l := newLiveNode(NewRuntime(), "a", &node.FuncNode{}, nil)
+			var spare *mchunk
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < k; j++ {
+					l.mb.put(envelope{from: "src", msg: msg})
+				}
+				chain, _ := l.mb.take(spare)
+				spare = l.drain(chain)
+			}
+		})
+	}
 }

@@ -18,7 +18,7 @@ const chunkSize = 256
 // allocates no mailbox memory at all.
 type mchunk struct {
 	envs [chunkSize]envelope
-	r, w int // read/write cursors into envs
+	w    int // envs[:w] are filled; the rest are zero
 	next *mchunk
 }
 

@@ -61,10 +61,12 @@ type Config struct {
 	// AssignBatchWindow bounds how long a non-full assignment window
 	// accumulates before flushing. 0 flushes at the end of the current
 	// virtual instant (coalescing only same-instant arrivals). A window of
-	// one never waits. On the live runtime it also spaces the idle flush:
-	// a sequencer whose mailbox drains flushes a non-empty window at once
-	// if its last flush is at least AssignBatchWindow old, so a request
-	// reaching an idle sequencer leaves without waiting for the timer.
+	// one never waits. On the live runtime a sequencer whose mailbox drains
+	// flushes a non-empty window at once, so a request reaching an idle
+	// sequencer leaves without waiting for the timer. A durable sequencer
+	// does so at every drain, since its own WAL append paces its flushes;
+	// a volatile one only if its last flush is at least AssignBatchWindow
+	// old, so the window also spaces its idle flushes.
 	AssignBatchWindow time.Duration
 	// SeqCostBase and SeqCostPerReq model the sequencer's ordering-pipeline
 	// occupancy: each assignment broadcast holds the pipeline for

@@ -9,6 +9,7 @@ import (
 	"aqua/internal/netsim"
 	"aqua/internal/node"
 	"aqua/internal/sim"
+	"aqua/internal/wal"
 )
 
 // idleCtx is a simulator context that captures the OnIdle hook, which the
@@ -44,14 +45,16 @@ const idleWindow = 5 * ms
 
 // newIdleTestbed deploys sequencer p0 and primaries p1, p2 with a
 // four-request assignment window of idleWindow, each behind an idleCtx.
-func newIdleTestbed(t *testing.T) (*testbed, map[node.ID]*idleCtx) {
+// durable gives every primary an in-memory WAL and replicated assignment,
+// the production ordering path.
+func newIdleTestbed(t *testing.T, durable bool) (*testbed, map[node.ID]*idleCtx) {
 	t.Helper()
 	s := sim.NewScheduler(47)
 	rt := sim.NewRuntime(s, sim.WithDelay(netsim.ConstantDelay(ms)))
 	tb := &testbed{s: s, rt: rt, replicas: make(map[node.ID]*Gateway), cli: &probe{}}
 	ctxs := make(map[node.ID]*idleCtx)
 	for _, id := range []node.ID{"p0", "p1", "p2"} {
-		g := New(Config{
+		cfg := Config{
 			Primary:           true,
 			PrimaryGroup:      []node.ID{"p0", "p1", "p2"},
 			Clients:           []node.ID{"cli"},
@@ -60,7 +63,12 @@ func newIdleTestbed(t *testing.T) (*testbed, map[node.ID]*idleCtx) {
 			App:               apps.NewKVStore(),
 			AssignBatch:       4,
 			AssignBatchWindow: idleWindow,
-		})
+		}
+		if durable {
+			cfg.Durable = wal.NewStore(wal.NewMemMedia())
+			cfg.ReplicatedAssign = true
+		}
+		g := New(cfg)
 		tb.replicas[id] = g
 		ctxs[id] = &idleCtx{}
 		rt.Register(id, idleGateway{g, ctxs[id]})
@@ -75,11 +83,17 @@ func newIdleTestbed(t *testing.T) (*testbed, map[node.ID]*idleCtx) {
 }
 
 // TestIdleFlushLeadingEdge pins when a window leaves once the runtime
-// reports a drained mailbox: at once if the last flush is at least a window
-// old, at its timer if not, at once when full, and never from a replica
-// that is not the sequencer.
+// reports a drained mailbox: at once on an idle sequencer; inside the window
+// of the last flush, at the next drain on a durable leader and at the timer
+// on a volatile one; at once when full; and never from a replica that is
+// not the sequencer.
 func TestIdleFlushLeadingEdge(t *testing.T) {
-	tb, ctxs := newIdleTestbed(t)
+	t.Run("volatile", func(t *testing.T) { testIdleFlushLeadingEdge(t, false) })
+	t.Run("durable", func(t *testing.T) { testIdleFlushLeadingEdge(t, true) })
+}
+
+func testIdleFlushLeadingEdge(t *testing.T, durable bool) {
+	tb, ctxs := newIdleTestbed(t, durable)
 	p0, seq := tb.replicas["p0"], ctxs["p0"]
 	flushes := func() uint64 { f, _ := p0.AssignBatchStats(); return f }
 
@@ -100,26 +114,43 @@ func TestIdleFlushLeadingEdge(t *testing.T) {
 	})
 	tb.s.RunFor(ms)
 
-	// A second request within the window of that flush waits for the timer
-	// armed by the first, however often the mailbox drains meanwhile.
-	tb.s.After(0, func() {
-		p0.onRequest("cli", req(2, false, "Set", "k2=2", 0))
-		sent := seq.sends
-		seq.idle()
-		if got := flushes(); got != 1 || seq.sends != sent {
-			t.Fatalf("idle hook inside the window flushed (%d flushes, %d sends), want none", got-1, seq.sends-sent)
-		}
-	})
-	tb.s.RunFor(2 * ms)
-	tb.s.After(0, func() {
-		seq.idle()
-		if got := flushes(); got != 1 {
-			t.Fatalf("idle hook 3 ms after the last flush flushed: %d flushes, want 1", got)
-		}
-	})
-	tb.s.RunFor(3 * ms)
+	if durable {
+		// A durable leader's flush is paced by its WAL append, not by the
+		// window: a second request within the window of that flush leaves
+		// at the next drain, and the timer armed by the first finds the
+		// window empty.
+		tb.s.After(0, func() {
+			p0.onRequest("cli", req(2, false, "Set", "k2=2", 0))
+			sent := seq.sends
+			seq.idle()
+			if got := flushes(); got != 2 || seq.sends == sent {
+				t.Fatalf("durable idle hook inside the window: %d flushes, %d sends, want 2 flushes and a broadcast", got, seq.sends-sent)
+			}
+		})
+		tb.s.RunFor(5 * ms)
+	} else {
+		// A second request within the window of that flush waits for the
+		// timer armed by the first, however often the mailbox drains
+		// meanwhile.
+		tb.s.After(0, func() {
+			p0.onRequest("cli", req(2, false, "Set", "k2=2", 0))
+			sent := seq.sends
+			seq.idle()
+			if got := flushes(); got != 1 || seq.sends != sent {
+				t.Fatalf("idle hook inside the window flushed (%d flushes, %d sends), want none", got-1, seq.sends-sent)
+			}
+		})
+		tb.s.RunFor(2 * ms)
+		tb.s.After(0, func() {
+			seq.idle()
+			if got := flushes(); got != 1 {
+				t.Fatalf("idle hook 3 ms after the last flush flushed: %d flushes, want 1", got)
+			}
+		})
+		tb.s.RunFor(3 * ms)
+	}
 	if got := flushes(); got != 2 {
-		t.Fatalf("window timer flushed %d windows, want 2 in all", got)
+		t.Fatalf("%d windows flushed, want 2 in all", got)
 	}
 
 	// A full window leaves at once, however recent the last flush.
@@ -154,10 +185,16 @@ func TestIdleFlushLeadingEdge(t *testing.T) {
 }
 
 // TestIdleFlushZeroAlloc: the idle hook runs after every drained mailbox
-// on the live runtime, so its no-flush paths — an empty window, and a
-// window younger than AssignBatchWindow — must not allocate.
+// on the live runtime, so its no-flush paths — an empty window on either
+// kind of leader, and a volatile leader's window younger than
+// AssignBatchWindow — must not allocate.
 func TestIdleFlushZeroAlloc(t *testing.T) {
-	tb, ctxs := newIdleTestbed(t)
+	_, durable := newIdleTestbed(t, true)
+	if a := testing.AllocsPerRun(100, durable["p0"].idle); a != 0 {
+		t.Fatalf("durable idle hook with an empty window allocated %.1f/op, want 0", a)
+	}
+
+	tb, ctxs := newIdleTestbed(t, false)
 	p0, seq := tb.replicas["p0"], ctxs["p0"]
 	if a := testing.AllocsPerRun(100, seq.idle); a != 0 {
 		t.Fatalf("idle hook with an empty window allocated %.1f/op, want 0", a)
