@@ -57,9 +57,8 @@ type ServiceConfig struct {
 	// (one GSNAssignBatch broadcast per window). <= 1 is a window of one,
 	// the paper's per-request protocol. Update chases join the window too,
 	// so with AssignBatch > 1 a chase reply can wait up to
-	// AssignBatchWindow. On the live runtime a window also leaves when the
-	// sequencer's mailbox drains: at every drain with Durable set, at most
-	// once per AssignBatchWindow without it. See replica.Config.
+	// AssignBatchWindow. On the live runtime a window also leaves at every
+	// drain of the sequencer's mailbox. See replica.Config.
 	AssignBatch       int
 	AssignBatchWindow time.Duration
 	// SeqCostBase/SeqCostPerReq model the sequencer ordering pipeline's

@@ -61,12 +61,9 @@ type Config struct {
 	// AssignBatchWindow bounds how long a non-full assignment window
 	// accumulates before flushing. 0 flushes at the end of the current
 	// virtual instant (coalescing only same-instant arrivals). A window of
-	// one never waits. On the live runtime a sequencer whose mailbox drains
-	// flushes a non-empty window at once, so a request reaching an idle
-	// sequencer leaves without waiting for the timer. A durable sequencer
-	// does so at every drain, since its own WAL append paces its flushes;
-	// a volatile one only if its last flush is at least AssignBatchWindow
-	// old, so the window also spaces its idle flushes.
+	// one never waits. On the live runtime a sequencer flushes a non-empty
+	// window at every drain of its mailbox, so a request reaching an idle
+	// sequencer leaves without waiting for the timer.
 	AssignBatchWindow time.Duration
 	// SeqCostBase and SeqCostPerReq model the sequencer's ordering-pipeline
 	// occupancy: each assignment broadcast holds the pipeline for
@@ -166,14 +163,13 @@ type Gateway struct {
 	heldRequests     []heldRequest
 
 	// Assignment-window state (sequencer role): the accumulating window, its
-	// flush timer, the scratch that filters memoized duplicates out of a
-	// flush, and when the last flush happened (it spaces idle flushes).
+	// flush timer, and the scratch that filters memoized duplicates out of
+	// a flush.
 	batchUpdates    []consistency.RequestID
 	batchReads      []consistency.RequestID
 	batchFresh      []consistency.RequestID
 	batchFlushArmed bool
 	batchFlushFn    func()
-	lastFlushAt     time.Time
 
 	// seqBusyUntil is the modeled ordering pipeline's occupancy horizon
 	// (SeqCostBase/SeqCostPerReq); zero value means idle.
@@ -318,7 +314,13 @@ func (g *Gateway) Init(ctx node.Context) {
 	g.lastBroadcastAt = ctx.Now()
 	g.lastLazyAt = ctx.Now()
 	if g.cfg.Primary && g.cfg.AssignBatch > 1 {
-		ctx.OnIdle(g.idleFlush)
+		// Once the mailbox has drained, nothing else is about to join the
+		// window, so a non-empty window leaves now rather than at its
+		// timer, as the paper's sequencer assigns a request on arrival.
+		// The requests that arrive while a flush is being written form the
+		// next window by themselves. The window timer stays armed: when it
+		// fires it flushes whatever joined since, or finds the window empty.
+		ctx.OnIdle(g.flushAssignBatch)
 	}
 	g.stack = group.NewStack(ctx, g.cfg.Group, g.handleDelivery)
 	g.sequencerID = sortedFirst(g.cfg.PrimaryGroup)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aqua/internal/app"
 	"aqua/internal/apps"
 	"aqua/internal/consistency"
 	"aqua/internal/group"
@@ -373,4 +374,66 @@ func TestReplicaNewPanicsOnBadConfig(t *testing.T) {
 	mustPanic("tiny primary group", func() {
 		New(Config{PrimaryGroup: []node.ID{"a"}, App: apps.NewKVStore()})
 	})
+}
+
+// snapCounter counts the Snapshot calls made on an application.
+type snapCounter struct {
+	app.Application
+	n int
+}
+
+func (a *snapCounter) Snapshot() ([]byte, error) {
+	a.n++
+	return a.Application.Snapshot()
+}
+
+// TestLazyTickSnapshotsOnlyForSecondaries: a publisher with no secondary
+// keeps its lazy tick but takes no snapshot, since it has no one to send
+// it to; with secondaries every tick snapshots.
+func TestLazyTickSnapshotsOnlyForSecondaries(t *testing.T) {
+	for _, secs := range [][]node.ID{nil, {"s1"}} {
+		s := sim.NewScheduler(5)
+		rt := sim.NewRuntime(s, sim.WithDelay(netsim.ConstantDelay(ms)))
+		prims := []node.ID{"p0", "p1", "p2"}
+		counters := map[node.ID]*snapCounter{}
+		gws := map[node.ID]*Gateway{}
+		for _, id := range append(append([]node.ID(nil), prims...), secs...) {
+			counters[id] = &snapCounter{Application: apps.NewKVStore()}
+			gws[id] = New(Config{
+				Primary:       id[0] == 'p',
+				PrimaryGroup:  prims,
+				Secondaries:   secs,
+				Clients:       []node.ID{"cli"},
+				Group:         group.DefaultConfig(),
+				LazyInterval:  10 * ms,
+				ChaseInterval: time.Hour,
+				App:           counters[id],
+			})
+			rt.Register(id, gws[id])
+		}
+		rt.Register("cli", &probe{})
+		rt.Start()
+		s.RunFor(100 * ms) // start-up: elections, state sync
+		var pub node.ID
+		for _, id := range prims {
+			if gws[id].IsPublisher() {
+				pub = id
+			}
+		}
+		if pub == "" {
+			t.Fatalf("secondaries %v: no publisher", secs)
+		}
+		before := counters[pub].n
+		s.RunFor(200 * ms)
+		if since := s.Now().Sub(gws[pub].lastLazyAt); since > 10*ms {
+			t.Fatalf("secondaries %v: last lazy tick %v ago, want the tick kept every 10ms", secs, since)
+		}
+		got := counters[pub].n - before
+		if len(secs) == 0 && got != 0 {
+			t.Fatalf("publisher without secondaries took %d snapshots, want 0", got)
+		}
+		if len(secs) > 0 && got < 10 {
+			t.Fatalf("publisher with secondaries took %d snapshots in 200ms, want one per tick", got)
+		}
+	}
 }

@@ -83,10 +83,10 @@ func newIdleTestbed(t *testing.T, durable bool) (*testbed, map[node.ID]*idleCtx)
 }
 
 // TestIdleFlushLeadingEdge pins when a window leaves once the runtime
-// reports a drained mailbox: at once on an idle sequencer; inside the window
-// of the last flush, at the next drain on a durable leader and at the timer
-// on a volatile one; at once when full; and never from a replica that is
-// not the sequencer.
+// reports a drained mailbox: at once on an idle sequencer; at the next
+// drain however recent the last flush, on a volatile and a durable leader
+// alike; at once when full; and never from a replica that is not the
+// sequencer.
 func TestIdleFlushLeadingEdge(t *testing.T) {
 	t.Run("volatile", func(t *testing.T) { testIdleFlushLeadingEdge(t, false) })
 	t.Run("durable", func(t *testing.T) { testIdleFlushLeadingEdge(t, true) })
@@ -114,41 +114,17 @@ func testIdleFlushLeadingEdge(t *testing.T, durable bool) {
 	})
 	tb.s.RunFor(ms)
 
-	if durable {
-		// A durable leader's flush is paced by its WAL append, not by the
-		// window: a second request within the window of that flush leaves
-		// at the next drain, and the timer armed by the first finds the
-		// window empty.
-		tb.s.After(0, func() {
-			p0.onRequest("cli", req(2, false, "Set", "k2=2", 0))
-			sent := seq.sends
-			seq.idle()
-			if got := flushes(); got != 2 || seq.sends == sent {
-				t.Fatalf("durable idle hook inside the window: %d flushes, %d sends, want 2 flushes and a broadcast", got, seq.sends-sent)
-			}
-		})
-		tb.s.RunFor(5 * ms)
-	} else {
-		// A second request within the window of that flush waits for the
-		// timer armed by the first, however often the mailbox drains
-		// meanwhile.
-		tb.s.After(0, func() {
-			p0.onRequest("cli", req(2, false, "Set", "k2=2", 0))
-			sent := seq.sends
-			seq.idle()
-			if got := flushes(); got != 1 || seq.sends != sent {
-				t.Fatalf("idle hook inside the window flushed (%d flushes, %d sends), want none", got-1, seq.sends-sent)
-			}
-		})
-		tb.s.RunFor(2 * ms)
-		tb.s.After(0, func() {
-			seq.idle()
-			if got := flushes(); got != 1 {
-				t.Fatalf("idle hook 3 ms after the last flush flushed: %d flushes, want 1", got)
-			}
-		})
-		tb.s.RunFor(3 * ms)
-	}
+	// A second request within the window of that flush leaves at the next
+	// drain too, and the timer armed by the first finds the window empty.
+	tb.s.After(0, func() {
+		p0.onRequest("cli", req(2, false, "Set", "k2=2", 0))
+		sent := seq.sends
+		seq.idle()
+		if got := flushes(); got != 2 || seq.sends == sent {
+			t.Fatalf("idle hook inside the window: %d flushes, %d sends, want 2 flushes and a broadcast", got, seq.sends-sent)
+		}
+	})
+	tb.s.RunFor(5 * ms)
 	if got := flushes(); got != 2 {
 		t.Fatalf("%d windows flushed, want 2 in all", got)
 	}
@@ -185,30 +161,13 @@ func testIdleFlushLeadingEdge(t *testing.T, durable bool) {
 }
 
 // TestIdleFlushZeroAlloc: the idle hook runs after every drained mailbox
-// on the live runtime, so its no-flush paths — an empty window on either
-// kind of leader, and a volatile leader's window younger than
-// AssignBatchWindow — must not allocate.
+// on the live runtime, so its no-flush path, an empty window, must not
+// allocate on either kind of leader.
 func TestIdleFlushZeroAlloc(t *testing.T) {
-	_, durable := newIdleTestbed(t, true)
-	if a := testing.AllocsPerRun(100, durable["p0"].idle); a != 0 {
-		t.Fatalf("durable idle hook with an empty window allocated %.1f/op, want 0", a)
-	}
-
-	tb, ctxs := newIdleTestbed(t, false)
-	p0, seq := tb.replicas["p0"], ctxs["p0"]
-	if a := testing.AllocsPerRun(100, seq.idle); a != 0 {
-		t.Fatalf("idle hook with an empty window allocated %.1f/op, want 0", a)
-	}
-	tb.s.After(0, func() {
-		p0.onRequest("cli", req(1, false, "Set", "k1=1", 0))
-		seq.idle() // flushes: the window restarts now
-		p0.onRequest("cli", req(2, false, "Set", "k2=2", 0))
-		if a := testing.AllocsPerRun(100, seq.idle); a != 0 {
-			t.Fatalf("idle hook inside the window allocated %.1f/op, want 0", a)
+	for _, durable := range []bool{false, true} {
+		_, ctxs := newIdleTestbed(t, durable)
+		if a := testing.AllocsPerRun(100, ctxs["p0"].idle); a != 0 {
+			t.Fatalf("idle hook with an empty window (durable=%v) allocated %.1f/op, want 0", durable, a)
 		}
-		if f, _ := p0.AssignBatchStats(); f != 1 {
-			t.Fatalf("idle hook inside the window flushed: %d flushes, want 1", f)
-		}
-	})
-	tb.s.RunFor(ms)
+	}
 }

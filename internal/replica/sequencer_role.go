@@ -276,24 +276,6 @@ func (g *Gateway) batchRequest(req consistency.Request) {
 	}
 }
 
-// idleFlush is the OnIdle hook of a primary that batches: once the mailbox
-// has drained, nothing else is about to join the window, so a non-empty
-// window leaves now rather than at its timer. A durable leader sends it
-// whatever the last flush's age: each flush ends in its own WAL append and
-// followers log before they ack, so the requests arriving during those
-// barriers form the next window by themselves. A volatile flush has no
-// barrier to pace it, so a volatile leader flushes at most once per
-// AssignBatchWindow, which keeps a busy sequencer at one broadcast per
-// window (unpaced, its windows shrank fourfold and per-op CPU rose by up to
-// a fifth). The window timer stays armed: when it fires it flushes whatever
-// joined since, or finds the window empty.
-func (g *Gateway) idleFlush() {
-	if len(g.batchUpdates)+len(g.batchReads) > 0 &&
-		(g.cfg.Durable != nil || g.ctx.Now().Sub(g.lastFlushAt) >= g.cfg.AssignBatchWindow) {
-		g.flushAssignBatch()
-	}
-}
-
 // flushAssignBatch assigns the pending window and broadcasts it as one
 // GSNAssignBatch: a contiguous GSN range for the fresh updates, one shared
 // snapshot at the post-update frontier for the reads. Requests some
@@ -345,7 +327,6 @@ func (g *Gateway) flushAssignBatch() {
 	}
 
 	n := len(g.batchUpdates) + len(g.batchReads)
-	g.lastFlushAt = g.ctx.Now()
 	g.assignFlushes++
 	g.assignFlushedReqs += uint64(n)
 	g.ins.assignBatchHist.Observe(float64(n))

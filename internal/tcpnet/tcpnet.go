@@ -53,6 +53,7 @@ type instruments struct {
 	dialFailures *obs.Counter
 	accepts      *obs.Counter
 	drops        *obs.Counter
+	acksMerged   *obs.Counter
 	queueDepth   *obs.Gauge
 	flushBatch   *obs.Histogram
 }
@@ -124,8 +125,9 @@ func (t *Transport) Addr() string { return t.listener.Addr().String() }
 
 // Instrument attaches traffic counters from reg (nil detaches nothing and
 // is a no-op). Call before traffic flows; counters cover frames and bytes
-// in both directions, dial and accept activity, the aggregate send-queue
-// depth, and the per-flush batch size distribution.
+// in both directions, dial and accept activity, group acks superseded by
+// a newer ack before they left, the aggregate send-queue depth (held acks
+// included), and the per-flush batch size distribution.
 func (t *Transport) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -139,6 +141,7 @@ func (t *Transport) Instrument(reg *obs.Registry) {
 		dialFailures: reg.Counter("tcpnet_dial_failures_total"),
 		accepts:      reg.Counter("tcpnet_accepts_total"),
 		drops:        reg.Counter("tcpnet_drops_total"),
+		acksMerged:   reg.Counter("tcpnet_acks_merged_total"),
 		queueDepth:   reg.Gauge("tcpnet_send_queue_depth"),
 		flushBatch:   reg.Histogram("tcpnet_flush_batch_size", obs.DepthBuckets()),
 	}
