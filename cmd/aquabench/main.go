@@ -8,8 +8,6 @@
 //	aquabench -experiment fig3|fig4a|fig4b|lui|reqdelay|baselines|hotspot|failover|groupsplit|window|estimator|scalability|loss|calibration|arrivals|all
 //	aquabench -experiment fig4a -requests 200   # faster, noisier
 //	aquabench -experiment chaos -chaos-runs 8 -faults crash,partition,link,seqkill   # every chaos row
-//	aquabench -experiment loadmax -json loadmax.json
-//	aquabench -experiment shardmax -shards 1,2,4 -json shardmax.json
 package main
 
 import (
@@ -18,7 +16,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -40,9 +37,6 @@ func main() {
 		tracePath = flag.String("trace", "", "stream per-request JSONL trace spans (run-labelled) to this file")
 		faults    = flag.String("faults", "crash,partition,link,seqkill", "chaos fault kinds to inject into every generated row (comma list of crash, partition, link, seqkill)")
 		chaosRuns = flag.Int("chaos-runs", 4, "number of seeded chaos runs per row (seeds seed..seed+n-1)")
-		jsonPath  = flag.String("json", "", "also write the loadmax/shardmax report as JSON to this file")
-		quick     = flag.Bool("quick", false, "shrink the loadmax/shardmax ramp for smoke runs (fewer rates, shorter steps)")
-		shards    = flag.String("shards", "", "shard counts for the shardmax ramp, comma list (default 1,2,4)")
 	)
 	flag.Parse()
 
@@ -53,7 +47,7 @@ func main() {
 		})
 	}
 
-	if err := run(*which, *requests, *seed, *iters, *obsPath, *tracePath, *faults, *chaosRuns, *jsonPath, *quick, *shards); err != nil {
+	if err := run(*which, *requests, *seed, *iters, *obsPath, *tracePath, *faults, *chaosRuns); err != nil {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(1)
 	}
@@ -66,7 +60,7 @@ func experimentIDs() []string {
 	for _, st := range experiment.Studies() {
 		ids = append(ids, st.ID)
 	}
-	return append(ids, "calibration", "arrivals", "chaos", "loadmax", "shardmax", "all")
+	return append(ids, "calibration", "arrivals", "chaos", "all")
 }
 
 // runChaos runs every row of the chaos table in order, each over the seeds
@@ -102,80 +96,7 @@ func runChaos(out *os.File, requests int, seed int64, faultSpec string, runs int
 	return nil
 }
 
-// rampPresets maps each load-ramp experiment to its preset and the shorter
-// rate ladder -quick runs.
-var rampPresets = map[string]struct {
-	preset func(seed int64) experiment.RampConfig
-	quick  []float64
-}{
-	"loadmax":  {experiment.LoadmaxRamp, []float64{1000, 4000, 16000}},
-	"shardmax": {experiment.ShardmaxRamp, []float64{16000, 64000, 128000}},
-}
-
-// parseShards maps the -shards comma list onto ascending, distinct shard
-// counts, so the first mode — the one speedups are relative to — is the
-// smallest.
-func parseShards(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil // the preset's default
-	}
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q (want a positive integer list like 1,2,4)", f)
-		}
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	for i := 1; i < len(out); i++ {
-		if out[i] == out[i-1] {
-			return nil, fmt.Errorf("shard count %d listed twice", out[i])
-		}
-	}
-	return out, nil
-}
-
-// runRamp executes one load ramp (every mode in one sweep), prints the
-// table, and optionally writes the JSON report. -shards replaces shardmax's
-// modes with one batched mode per shard count.
-func runRamp(out *os.File, which string, seed int64, shardsSpec, jsonPath string, quick bool) error {
-	p := rampPresets[which]
-	cfg := p.preset(seed)
-	counts, err := parseShards(shardsSpec)
-	if err != nil {
-		return fmt.Errorf("-shards: %w", err)
-	}
-	if counts != nil {
-		if which != "shardmax" {
-			return fmt.Errorf("-shards applies to -experiment shardmax only")
-		}
-		cfg.Modes = nil
-		for _, n := range counts {
-			cfg.Modes = append(cfg.Modes, experiment.RampMode{Shards: n, Batched: true})
-		}
-	}
-	if quick {
-		cfg.Rates = p.quick
-		cfg.Warmup = 200 * time.Millisecond
-		cfg.StepDuration = 500 * time.Millisecond
-	}
-	rep := experiment.RunRamp(cfg)
-	experiment.WriteRampTable(out, rep)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return fmt.Errorf("-json: %w", err)
-		}
-		defer f.Close()
-		if err := experiment.WriteRampJSON(f, rep); err != nil {
-			return fmt.Errorf("-json: %w", err)
-		}
-	}
-	return nil
-}
-
-func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int, jsonPath string, quick bool, shardsSpec string) error {
+func run(which string, requests int, seed int64, iters int, obsPath, tracePath, faultSpec string, chaosRuns int) error {
 	if !slices.Contains(experimentIDs(), which) {
 		return fmt.Errorf("unknown experiment %q", which)
 	}
@@ -265,14 +186,6 @@ func run(which string, requests int, seed int64, iters int, obsPath, tracePath, 
 	// byte-identical to earlier revisions.
 	if which == "chaos" {
 		if err := runChaos(out, requests, seed, faultSpec, chaosRuns); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	// The load ramps are likewise excluded from "all": throughput
-	// benchmarks on a different (open-loop) workload, not paper tables.
-	if _, ok := rampPresets[which]; ok {
-		if err := runRamp(out, which, seed, shardsSpec, jsonPath, quick); err != nil {
 			return err
 		}
 		fmt.Fprintln(out)

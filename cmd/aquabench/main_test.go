@@ -2,43 +2,18 @@ package main
 
 import (
 	"os"
-	"reflect"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
-
-// parseShards must hand the ramp ascending, distinct counts: speedups are
-// relative to the first mode, and a repeated count would rerun its ladder.
-func TestParseShards(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		want []int
-		err  bool
-	}{
-		{spec: "", want: nil},
-		{spec: "1,2,4", want: []int{1, 2, 4}},
-		{spec: "4,1", want: []int{1, 4}},
-		{spec: " 4, 2 ,1", want: []int{1, 2, 4}},
-		{spec: "1,1", err: true},
-		{spec: "4,1,4", err: true},
-		{spec: "0", err: true},
-		{spec: "x", err: true},
-	} {
-		got, err := parseShards(tc.spec)
-		if (err != nil) != tc.err {
-			t.Fatalf("parseShards(%q) error = %v, want error %v", tc.spec, err, tc.err)
-		}
-		if !tc.err && !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("parseShards(%q) = %v, want %v", tc.spec, got, tc.want)
-		}
-	}
-}
 
 // A chaos sweep of no runs checks nothing, so a run count below one must be
 // an error — not an empty sweep that exits 0, nor a makeslice panic.
 func TestChaosRunsRejectsNonPositive(t *testing.T) {
 	for _, runs := range []int{0, -3} {
-		if err := run("chaos", 60, 2002, 1, "", "", "crash", runs, "", false, ""); err == nil {
+		if err := run("chaos", 60, 2002, 1, "", "", "crash", runs); err == nil {
 			t.Errorf("-experiment chaos -chaos-runs %d accepted", runs)
 		}
 	}
@@ -57,7 +32,7 @@ func TestRunRejectsNonPositiveCounts(t *testing.T) {
 		{"loss", 0, 1},
 		{"chaos", -3, 1},
 	} {
-		if err := run(tc.which, tc.requests, 2002, tc.iters, "", "", "crash", 1, "", true, ""); err == nil {
+		if err := run(tc.which, tc.requests, 2002, tc.iters, "", "", "crash", 1); err == nil {
 			t.Errorf("-experiment %s -requests %d -iters %d accepted", tc.which, tc.requests, tc.iters)
 		}
 	}
@@ -74,6 +49,29 @@ func TestDocListsEveryExperiment(t *testing.T) {
 	for _, id := range experimentIDs() {
 		if !strings.Contains(doc, id) {
 			t.Errorf("package doc does not name -experiment %s", id)
+		}
+	}
+}
+
+// Every "-experiment <id>" the user-facing docs show must still run: a
+// retired id left in a quickstart line fails at the first copy-paste. An
+// id list like "fig3|fig4a" is checked id by id.
+func TestDocsNameOnlyLiveExperiments(t *testing.T) {
+	ids := experimentIDs()
+	use := regexp.MustCompile(`-experiment[ =]([a-z0-9|]+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, m := range use.FindAllStringSubmatch(line, -1) {
+				for _, id := range strings.Split(m[1], "|") {
+					if id != "" && !slices.Contains(ids, id) {
+						t.Errorf("%s:%d names -experiment %s, which aquabench does not run", doc, i+1, id)
+					}
+				}
+			}
 		}
 	}
 }

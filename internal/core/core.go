@@ -61,10 +61,6 @@ type ServiceConfig struct {
 	// drain of the sequencer's mailbox. See replica.Config.
 	AssignBatch       int
 	AssignBatchWindow time.Duration
-	// SeqCostBase/SeqCostPerReq model the sequencer ordering pipeline's
-	// per-broadcast occupancy (both zero disables). See replica.Config.
-	SeqCostBase   time.Duration
-	SeqCostPerReq time.Duration
 	// FastReads enables the replicas' frontier read fast path.
 	FastReads bool
 	// Durable equips every replica with a write-ahead log plus periodic
@@ -269,8 +265,6 @@ func (d *Deployment) newReplica(id node.ID) (*replica.Gateway, error) {
 		ChaseInterval:     d.svc.ChaseInterval,
 		AssignBatch:       d.svc.AssignBatch,
 		AssignBatchWindow: d.svc.AssignBatchWindow,
-		SeqCostBase:       d.svc.SeqCostBase,
-		SeqCostPerReq:     d.svc.SeqCostPerReq,
 		FastReads:         d.svc.FastReads,
 		Durable:           durable,
 		SnapshotEvery:     d.svc.SnapshotEvery,

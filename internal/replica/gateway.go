@@ -65,15 +65,6 @@ type Config struct {
 	// window at every drain of its mailbox, so a request reaching an idle
 	// sequencer leaves without waiting for the timer.
 	AssignBatchWindow time.Duration
-	// SeqCostBase and SeqCostPerReq model the sequencer's ordering-pipeline
-	// occupancy: each assignment broadcast holds the pipeline for
-	// SeqCostBase + n*SeqCostPerReq (n = requests covered), and broadcasts
-	// queue behind one another. Both zero (the default) disables the model —
-	// broadcasts leave instantly, as before. The load ramp (loadmax and
-	// shardmax) enables it so saturation exists in virtual time; batching
-	// then amortizes the per-broadcast base across the window.
-	SeqCostBase   time.Duration
-	SeqCostPerReq time.Duration
 	// FastReads enables the frontier fast path: a read whose snapshot GSN
 	// the commit stream has already reached, arriving while the work queue
 	// is idle and no service-delay model is configured, is served inline —
@@ -171,12 +162,8 @@ type Gateway struct {
 	batchFlushArmed bool
 	batchFlushFn    func()
 
-	// seqBusyUntil is the modeled ordering pipeline's occupancy horizon
-	// (SeqCostBase/SeqCostPerReq); zero value means idle.
-	seqBusyUntil time.Time
-
-	// Plain batching/fast-path counters (always on; tests and the load ramp
-	// read them without an obs registry).
+	// Plain batching/fast-path counters (always on; tests and the
+	// benchmark read them without an obs registry).
 	assignFlushes     uint64
 	assignFlushedReqs uint64
 	fastServed        uint64

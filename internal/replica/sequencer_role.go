@@ -237,24 +237,6 @@ func (g *Gateway) broadcastUpdateAssign(a consistency.GSNAssign) {
 	g.onAssign(a)
 }
 
-// pipelineDelay models the ordering pipeline's occupancy for a broadcast
-// covering n requests: work items cost SeqCostBase + n*SeqCostPerReq and
-// queue behind whatever the pipeline is already processing. It returns the
-// delay from now until this broadcast leaves, advancing the occupancy
-// horizon; 0 when the cost model is disabled.
-func (g *Gateway) pipelineDelay(n int) time.Duration {
-	cost := g.cfg.SeqCostBase + time.Duration(n)*g.cfg.SeqCostPerReq
-	if cost <= 0 {
-		return 0
-	}
-	start := g.ctx.Now()
-	if g.seqBusyUntil.After(start) {
-		start = g.seqBusyUntil
-	}
-	g.seqBusyUntil = start.Add(cost)
-	return g.seqBusyUntil.Sub(g.ctx.Now())
-}
-
 // batchRequest adds a request to the accumulating assignment window,
 // flushing a full window immediately and arming the window timer otherwise.
 // With AssignBatch <= 1 every window is full at one request, so each one
@@ -341,18 +323,11 @@ func (g *Gateway) flushAssignBatch() {
 		ReadGSN: frontier,
 		Reads:   reads,
 	}
-	if d := g.pipelineDelay(n); d > 0 {
-		g.ctx.Post(d, func() { g.sendAssignWindow(batch, dups) })
-		return
-	}
-	g.sendAssignWindow(batch, dups)
-}
 
-// sendAssignWindow broadcasts a flushed window, then the re-issued numbers
-// as singletons. Windows carrying read snapshots go to every replica (the
-// secondaries need ReadGSN); update-only windows concern the primary group
-// alone, matching the singleton routing.
-func (g *Gateway) sendAssignWindow(batch consistency.GSNAssignBatch, dups []consistency.GSNAssign) {
+	// Broadcast the window, then the re-issued numbers as singletons.
+	// Windows carrying read snapshots go to every replica (the secondaries
+	// need ReadGSN); update-only windows concern the primary group alone,
+	// matching the singleton routing.
 	if len(batch.Updates) > 0 || len(batch.Reads) > 0 {
 		targets := g.otherPrimaries()
 		if len(batch.Reads) > 0 {
@@ -390,23 +365,15 @@ func (g *Gateway) onGSNRequest(from node.ID, r consistency.GSNRequest) {
 		})
 		return
 	}
-	// Chase responses traverse the same ordering pipeline as first-time
-	// assignments: without the cost accounting they would bypass the model
-	// entirely, and an overloaded sequencer would answer chases faster than
-	// it assigns — recovery traffic outrunning the pipeline it is chasing.
-	// An update chase simply joins the assignment window; its flush re-issues
-	// any number the group already holds and broadcasts it to every primary.
+	// An update chase joins the assignment window like a first-time request;
+	// its flush re-issues any number the group already holds and broadcasts
+	// it to every primary. A read chase is answered to the chaser alone, at
+	// the snapshot the sequencer memoized for it (or the current frontier).
 	if r.Update {
 		g.batchRequest(consistency.Request{ID: r.ID})
 		return
 	}
-	gsn := g.seqState.SnapshotRead(r.ID)
-	assign := consistency.GSNAssign{ID: r.ID, GSN: gsn}
-	if d := g.pipelineDelay(1); d > 0 {
-		g.ctx.Post(d, func() { g.stack.Send(from, assign) })
-		return
-	}
-	g.stack.Send(from, assign)
+	g.stack.Send(from, consistency.GSNAssign{ID: r.ID, GSN: g.seqState.SnapshotRead(r.ID)})
 }
 
 // maxChasePerTick bounds recovery traffic per chase tick. Chases exist to

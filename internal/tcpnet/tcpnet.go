@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aqua/internal/live"
@@ -58,12 +59,18 @@ type instruments struct {
 	flushBatch   *obs.Histogram
 }
 
+// noInstruments is what an uninstrumented transport records into.
+var noInstruments instruments
+
 // Transport is one process's TCP endpoint.
 type Transport struct {
 	rt       *live.Runtime
 	listener net.Listener
-	ins      instruments
 	queueCap int
+
+	// insp is published once by Instrument while the accept and read
+	// loops may already run; they load it per use, which costs no lock.
+	insp atomic.Pointer[instruments]
 
 	mu      sync.Mutex
 	peers   map[node.ID]string // node -> address
@@ -124,15 +131,16 @@ func New(rt *live.Runtime, listenAddr string, peers map[node.ID]string, opts ...
 func (t *Transport) Addr() string { return t.listener.Addr().String() }
 
 // Instrument attaches traffic counters from reg (nil detaches nothing and
-// is a no-op). Call before traffic flows; counters cover frames and bytes
-// in both directions, dial and accept activity, group acks superseded by
-// a newer ack before they left, the aggregate send-queue depth (held acks
-// included), and the per-flush batch size distribution.
+// is a no-op). It is safe while traffic flows, but only what happens after
+// it is counted; counters cover frames and bytes in both directions, dial
+// and accept activity, group acks superseded by a newer ack before they
+// left, the aggregate send-queue depth (held acks included), and the
+// per-flush batch size distribution.
 func (t *Transport) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	t.ins = instruments{
+	t.insp.Store(&instruments{
 		messagesSent: reg.Counter("tcpnet_messages_sent_total"),
 		bytesSent:    reg.Counter("tcpnet_bytes_sent_total"),
 		messagesRecv: reg.Counter("tcpnet_messages_recv_total"),
@@ -144,7 +152,15 @@ func (t *Transport) Instrument(reg *obs.Registry) {
 		acksMerged:   reg.Counter("tcpnet_acks_merged_total"),
 		queueDepth:   reg.Gauge("tcpnet_send_queue_depth"),
 		flushBatch:   reg.Histogram("tcpnet_flush_batch_size", obs.DepthBuckets()),
+	})
+}
+
+// ins returns the attached counters, or no-ops before Instrument.
+func (t *Transport) ins() *instruments {
+	if p := t.insp.Load(); p != nil {
+		return p
 	}
+	return &noInstruments
 }
 
 // AddPeer maps (or remaps) a node ID to an address.
@@ -198,7 +214,7 @@ func (t *Transport) Send(from, to node.ID, m node.Message) {
 	addr, ok := t.peers[to]
 	if !ok {
 		t.mu.Unlock()
-		t.ins.drops.Inc()
+		t.ins().drops.Inc()
 		return
 	}
 	w := t.writers[addr]
@@ -250,7 +266,7 @@ func (t *Transport) acceptLoop() {
 		}
 		t.inbound[conn] = true
 		t.mu.Unlock()
-		t.ins.accepts.Inc()
+		t.ins().accepts.Inc()
 		t.wg.Add(1)
 		go t.readLoop(conn)
 	}
@@ -313,7 +329,7 @@ func (t *Transport) readFrames(conn net.Conn) {
 				bat.Flush()
 				return
 			}
-			t.ins.messagesRecv.Inc()
+			t.ins().messagesRecv.Inc()
 			bat.Add(from, to, m)
 		}
 		bat.Flush()
@@ -339,7 +355,7 @@ func (t *Transport) readFrames(conn net.Conn) {
 		}
 		n, err := conn.Read(slab[w:])
 		if n > 0 {
-			t.ins.bytesRecv.Add(uint64(n))
+			t.ins().bytesRecv.Add(uint64(n))
 			w += n
 		}
 		if err != nil {

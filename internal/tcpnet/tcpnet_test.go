@@ -251,6 +251,47 @@ func TestTCPConcurrentSendersFraming(t *testing.T) {
 	waitFor(t, func() bool { return counterValue(t, reg, "tcpnet_bytes_sent_total") > 0 }, "bytesSent > 0")
 }
 
+// TestTCPInstrumentAfterPeerDialed attaches counters to a listening
+// transport while a peer's dial to it is in flight: under -race the
+// hand-over must not race the accept and read loops, and a frame sent
+// after it must be counted even on a connection accepted before it.
+func TestTCPInstrumentAfterPeerDialed(t *testing.T) {
+	var got atomic.Int64
+	rtA, rtB := live.NewRuntime(), live.NewRuntime()
+	trB, err := New(rtB, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trB.Close()
+	trA, err := New(rtA, "127.0.0.1:0", map[node.ID]string{"b": trB.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trA.Close()
+	rtB.Register("b", &node.FuncNode{
+		OnRecv: func(node.ID, node.Message) { got.Add(1) },
+	})
+	rtB.Start()
+	defer rtB.Stop()
+
+	send := func(seq uint64) {
+		trA.Send("a", "b", consistency.Request{
+			ID:      consistency.RequestID{Client: "a", Seq: seq},
+			Method:  "Set",
+			Payload: []byte("k=v"),
+		})
+	}
+	send(1) // the peer's writer dials; trB accepts on its own goroutine
+	reg := obs.NewRegistry()
+	trB.Instrument(reg)
+	waitFor(t, func() bool { return got.Load() == 1 }, "first frame")
+	send(2)
+	waitFor(t, func() bool { return got.Load() == 2 }, "second frame")
+	if n := counterValue(t, reg, "tcpnet_messages_recv_total"); n < 1 {
+		t.Fatalf("messages received after Instrument = %d, want the second frame counted", n)
+	}
+}
+
 // TestTCPLargeFramesAcrossSlabs drives the inbound reader past its slab:
 // a 1 MiB StateUpdate (the size of the qos-reads lazy snapshot, four times
 // readSlab) fanned out to two peers through the writer's vectored splice,

@@ -99,13 +99,13 @@ func (w *peerWriter) enqueue(from, to node.ID, m node.Message) {
 	w.mu.Lock()
 	if w.closed || w.count == len(w.ring) {
 		w.mu.Unlock()
-		w.t.ins.drops.Inc()
+		w.t.ins().drops.Inc()
 		return
 	}
 	w.ring[(w.head+w.count)%len(w.ring)] = frameRec{from: from, to: to, msg: m}
 	w.count++
 	w.mu.Unlock()
-	w.t.ins.queueDepth.Add(1)
+	w.t.ins().queueDepth.Add(1)
 	w.signal()
 }
 
@@ -130,7 +130,7 @@ func (w *peerWriter) holdAck(from, to node.ID, a group.AckMsg, m node.Message) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		w.t.ins.drops.Inc()
+		w.t.ins().drops.Inc()
 		return
 	}
 	for i := range w.acks {
@@ -142,7 +142,7 @@ func (w *peerWriter) holdAck(from, to node.ID, a group.AckMsg, m node.Message) {
 				h.msg = m
 			}
 			w.mu.Unlock()
-			w.t.ins.acksMerged.Inc()
+			w.t.ins().acksMerged.Inc()
 			return
 		}
 	}
@@ -152,7 +152,7 @@ func (w *peerWriter) holdAck(from, to node.ID, a group.AckMsg, m node.Message) {
 	}
 	w.acks = append(w.acks, frameRec{from: from, to: to, msg: m})
 	w.mu.Unlock()
-	w.t.ins.queueDepth.Add(1)
+	w.t.ins().queueDepth.Add(1)
 	if first {
 		w.signal()
 	}
@@ -185,7 +185,7 @@ func (w *peerWriter) run() {
 		}
 		w.takeBatch()
 		w.mu.Unlock()
-		w.t.ins.queueDepth.Add(-int64(len(w.batch)))
+		w.t.ins().queueDepth.Add(-int64(len(w.batch)))
 		w.flush()
 	}
 }
@@ -238,7 +238,7 @@ func (w *peerWriter) takeBatch() {
 // goroutine, never on a Send caller.
 func (w *peerWriter) flush() {
 	if w.getConn() == nil && !w.dial() {
-		w.t.ins.drops.Add(uint64(len(w.batch)))
+		w.t.ins().drops.Add(uint64(len(w.batch)))
 		return
 	}
 	w.buf = w.buf[:0]
@@ -248,7 +248,7 @@ func (w *peerWriter) flush() {
 		f := &w.batch[i]
 		b, cached, err := w.t.appendFrameVec(w.buf, f.from, f.to, f.msg)
 		if err != nil {
-			w.t.ins.drops.Inc() // unregistered type: skip, keep the rest
+			w.t.ins().drops.Inc() // unregistered type: skip, keep the rest
 			continue
 		}
 		w.buf = b
@@ -260,10 +260,10 @@ func (w *peerWriter) flush() {
 	if frames == 0 {
 		return
 	}
-	w.t.ins.flushBatch.Observe(float64(frames))
+	w.t.ins().flushBatch.Observe(float64(frames))
 	conn := w.getConn()
 	if conn == nil { // Close raced us
-		w.t.ins.drops.Add(uint64(frames))
+		w.t.ins().drops.Add(uint64(frames))
 		return
 	}
 	total := len(w.buf)
@@ -292,12 +292,12 @@ func (w *peerWriter) flush() {
 	if err != nil {
 		// Broken pipe: drop the batch and the connection; the next flush
 		// re-dials and the group layer retransmits.
-		w.t.ins.drops.Add(uint64(frames))
+		w.t.ins().drops.Add(uint64(frames))
 		w.setConn(nil)
 		return
 	}
-	w.t.ins.messagesSent.Add(uint64(frames))
-	w.t.ins.bytesSent.Add(uint64(total))
+	w.t.ins().messagesSent.Add(uint64(frames))
+	w.t.ins().bytesSent.Add(uint64(total))
 }
 
 // dial establishes the connection with the bounded retry ladder; on
@@ -321,7 +321,7 @@ func (w *peerWriter) dial() bool {
 			}
 			backoff *= 2
 		}
-		w.t.ins.dials.Inc()
+		w.t.ins().dials.Inc()
 		conn, err := net.Dial("tcp", w.addr)
 		if err == nil {
 			w.setConn(conn)
@@ -331,7 +331,7 @@ func (w *peerWriter) dial() bool {
 			}
 			return true
 		}
-		w.t.ins.dialFailures.Inc()
+		w.t.ins().dialFailures.Inc()
 	}
 	w.cooldownUntil = time.Now().Add(dialCooldownSpan)
 	return false

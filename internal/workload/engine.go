@@ -4,8 +4,8 @@
 // issued regardless of completions — the open-loop model that exposes
 // saturation, unlike closed-loop drivers whose offered rate collapses to the
 // service rate under overload. The engine routes every request by key over a
-// list of shards; an unsharded service is a list of one. Deadline and expiry
-// accounting per request feeds the load-ramp experiments.
+// list of shards; an unsharded service is a list of one, and it accounts
+// every request against a read deadline and an expiry bound.
 package workload
 
 import (
@@ -23,24 +23,10 @@ import (
 )
 
 // Process generates successive inter-arrival gaps of the aggregate request
-// stream. elapsed is the virtual time since the engine started, letting
-// time-varying processes know their phase. Implementations may be stateful
-// and are owned by one engine — never share an instance across engines.
+// stream. Implementations may be stateful and are owned by one engine —
+// never share an instance across engines.
 type Process interface {
-	Gap(r *rand.Rand, elapsed time.Duration) time.Duration
-}
-
-// expGap draws an exponential inter-arrival gap for the given rate
-// (events/second). Non-positive rates yield an hour — effectively off.
-func expGap(r *rand.Rand, rate float64) time.Duration {
-	if rate <= 0 {
-		return time.Hour
-	}
-	u := r.Float64()
-	for u <= 0 {
-		u = r.Float64()
-	}
-	return time.Duration(-math.Log(u) / rate * float64(time.Second))
+	Gap(r *rand.Rand) time.Duration
 }
 
 // Poisson is a homogeneous Poisson arrival process: the superposition of
@@ -50,78 +36,17 @@ type Poisson struct {
 	Rate float64 // events per second
 }
 
-// Gap implements Process.
-func (p Poisson) Gap(r *rand.Rand, _ time.Duration) time.Duration {
-	return expGap(r, p.Rate)
-}
-
-// MMPP is a two-state Markov-modulated Poisson process: arrivals are
-// Poisson at LowRate or HighRate, with exponentially distributed sojourns
-// in each state. It produces the clumped traffic that stresses the
-// staleness model's Poisson assumption while keeping a known mean rate.
-type MMPP struct {
-	LowRate, HighRate float64       // events per second in each state
-	MeanLow, MeanHigh time.Duration // mean sojourn per state
-
-	high bool
-	left time.Duration // remaining sojourn in the current state
-}
-
-// Gap implements Process. A candidate gap that would outlive the current
-// sojourn is discarded: the process advances to the state switch and
-// redraws at the new rate — exact for exponential gaps, which are
-// memoryless past the boundary.
-func (m *MMPP) Gap(r *rand.Rand, _ time.Duration) time.Duration {
-	if m.left <= 0 {
-		m.left = m.drawSojourn(r)
-	}
-	var total time.Duration
-	for {
-		rate := m.LowRate
-		if m.high {
-			rate = m.HighRate
-		}
-		if g := expGap(r, rate); g < m.left {
-			m.left -= g
-			return total + g
-		}
-		total += m.left
-		m.high = !m.high
-		m.left = m.drawSojourn(r)
-	}
-}
-
-func (m *MMPP) drawSojourn(r *rand.Rand) time.Duration {
-	mean := m.MeanLow
-	if m.high {
-		mean = m.MeanHigh
-	}
-	return expGap(r, float64(time.Second)/float64(mean))
-}
-
-// Diurnal is a non-homogeneous Poisson process whose rate swings
-// sinusoidally between Base and Peak over Period — a compressed diurnal
-// ramp. Gaps are drawn by Lewis–Shedler thinning against Peak, so the
-// instantaneous rate tracks the profile exactly.
-type Diurnal struct {
-	Base, Peak float64 // events per second at trough and crest
-	Period     time.Duration
-}
-
-// Gap implements Process.
-func (d Diurnal) Gap(r *rand.Rand, elapsed time.Duration) time.Duration {
-	if d.Peak <= 0 {
+// Gap implements Process: an exponential gap at Rate. A non-positive rate
+// yields an hour — effectively off.
+func (p Poisson) Gap(r *rand.Rand) time.Duration {
+	if p.Rate <= 0 {
 		return time.Hour
 	}
-	var gap time.Duration
-	for {
-		gap += expGap(r, d.Peak)
-		phase := 2 * math.Pi * float64(elapsed+gap) / float64(d.Period)
-		rate := d.Base + (d.Peak-d.Base)*0.5*(1-math.Cos(phase))
-		if r.Float64()*d.Peak <= rate {
-			return gap
-		}
+	u := r.Float64()
+	for u <= 0 {
+		u = r.Float64()
 	}
+	return time.Duration(-math.Log(u) / p.Rate * float64(time.Second))
 }
 
 // EngineConfig describes one open-loop load engine.
@@ -165,7 +90,7 @@ var engineBucketBoundsMS = []float64{
 }
 
 // LatencyHist is a fixed-bucket latency histogram with value semantics:
-// snapshots copy, and Sub yields the delta of a measurement window.
+// snapshots copy.
 type LatencyHist struct {
 	Counts [17]uint64 // len(engineBucketBoundsMS)+1; last is overflow
 }
@@ -195,18 +120,8 @@ func (h LatencyHist) Quantile(q float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// Sub returns the histogram of observations recorded after prev was
-// snapshotted.
-func (h LatencyHist) Sub(prev LatencyHist) LatencyHist {
-	var out LatencyHist
-	for i := range h.Counts {
-		out.Counts[i] = h.Counts[i] - prev.Counts[i]
-	}
-	return out
-}
-
 // EngineMetrics aggregates the engine's accounting. It has value
-// semantics; Sub computes a measurement window's delta.
+// semantics: a snapshot copies.
 type EngineMetrics struct {
 	Issued  uint64 // requests actually transmitted
 	Reads   uint64
@@ -223,23 +138,6 @@ type EngineMetrics struct {
 
 	ReadLatency   LatencyHist
 	UpdateLatency LatencyHist
-}
-
-// Sub returns the metrics accumulated after prev was snapshotted.
-func (m EngineMetrics) Sub(prev EngineMetrics) EngineMetrics {
-	return EngineMetrics{
-		Issued:         m.Issued - prev.Issued,
-		Reads:          m.Reads - prev.Reads,
-		Updates:        m.Updates - prev.Updates,
-		Shed:           m.Shed - prev.Shed,
-		Completed:      m.Completed - prev.Completed,
-		ReadsDone:      m.ReadsDone - prev.ReadsDone,
-		UpdatesDone:    m.UpdatesDone - prev.UpdatesDone,
-		Expired:        m.Expired - prev.Expired,
-		TimingFailures: m.TimingFailures - prev.TimingFailures,
-		ReadLatency:    m.ReadLatency.Sub(prev.ReadLatency),
-		UpdateLatency:  m.UpdateLatency.Sub(prev.UpdateLatency),
-	}
 }
 
 // engPending is one in-flight request's accounting state.
@@ -273,7 +171,6 @@ type Engine struct {
 	shards       []engShard
 	replicaShard map[node.ID]int
 
-	started time.Time
 	nextSeq uint64
 
 	pending map[uint64]engPending
@@ -331,7 +228,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 // Init implements node.Node.
 func (e *Engine) Init(ctx node.Context) {
 	e.ctx = ctx
-	e.started = ctx.Now()
 	// Reliable FIFO links with retransmission and no heartbeats: the client
 	// substrate default.
 	g := group.DefaultConfig()
@@ -340,7 +236,7 @@ func (e *Engine) Init(ctx node.Context) {
 	e.stack = group.NewStack(ctx, g, e.deliver)
 	e.arrivalFn = e.arrival
 	e.sweepFn = e.sweep
-	ctx.Post(e.cfg.Arrivals.Gap(ctx.Rand(), 0), e.arrivalFn)
+	ctx.Post(e.cfg.Arrivals.Gap(ctx.Rand()), e.arrivalFn)
 	ctx.Post(e.expireAfter/4, e.sweepFn)
 }
 
@@ -350,9 +246,8 @@ func (e *Engine) Recv(from node.ID, m node.Message) {
 	e.stack.Handle(from, m)
 }
 
-// Metrics returns a snapshot of the engine's accounting (value semantics —
-// diff two snapshots with Sub to scope a measurement window). Safe to call
-// from outside the engine's goroutine while a live run is in progress.
+// Metrics returns a snapshot of the engine's accounting. Safe to call from
+// outside the engine's goroutine while a live run is in progress.
 func (e *Engine) Metrics() EngineMetrics {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -373,7 +268,7 @@ func (e *Engine) arrival() {
 	e.mu.Lock()
 	e.issue()
 	e.mu.Unlock()
-	e.ctx.Post(e.cfg.Arrivals.Gap(e.ctx.Rand(), e.ctx.Now().Sub(e.started)), e.arrivalFn)
+	e.ctx.Post(e.cfg.Arrivals.Gap(e.ctx.Rand()), e.arrivalFn)
 }
 
 func (e *Engine) issue() {

@@ -81,7 +81,7 @@ func TestEngineOpenLoopMix(t *testing.T) {
 func TestEngineDeterministic(t *testing.T) {
 	run := func() workload.EngineMetrics {
 		s, eng := deployWithEngine(t, 23, workload.EngineConfig{
-			Arrivals:     &workload.MMPP{LowRate: 100, HighRate: 800, MeanLow: 200 * ms, MeanHigh: 100 * ms},
+			Arrivals:     workload.Poisson{Rate: 500},
 			ReadFraction: 0.7,
 		})
 		s.RunFor(2 * time.Second)
@@ -93,49 +93,19 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
-// Mean-rate sanity for the arrival processes, without a deployment: the
-// empirical rate over many gaps must track each process's nominal mean.
+// Mean-rate sanity for the arrival process, without a deployment: the
+// empirical rate over many gaps must track the nominal mean.
 func TestProcessMeanRates(t *testing.T) {
 	meanRate := func(p workload.Process) float64 {
 		r := rand.New(rand.NewSource(42))
 		var elapsed time.Duration
 		const n = 200000
 		for i := 0; i < n; i++ {
-			elapsed += p.Gap(r, elapsed)
+			elapsed += p.Gap(r)
 		}
 		return n / elapsed.Seconds()
 	}
 	if got := meanRate(workload.Poisson{Rate: 500}); math.Abs(got-500) > 25 {
 		t.Errorf("Poisson mean rate %.1f, want ~500", got)
-	}
-	// MMPP spends equal time in each state: mean rate = (100+900)/2.
-	mmpp := &workload.MMPP{LowRate: 100, HighRate: 900, MeanLow: 50 * ms, MeanHigh: 50 * ms}
-	if got := meanRate(mmpp); math.Abs(got-500) > 50 {
-		t.Errorf("MMPP mean rate %.1f, want ~500", got)
-	}
-	// The sinusoid averages to the midpoint of Base and Peak.
-	diurnal := workload.Diurnal{Base: 100, Peak: 900, Period: 2 * time.Second}
-	if got := meanRate(diurnal); math.Abs(got-500) > 50 {
-		t.Errorf("Diurnal mean rate %.1f, want ~500", got)
-	}
-}
-
-func TestDiurnalTracksPhase(t *testing.T) {
-	// At the trough (elapsed ≈ 0 mod Period) gaps should be long; at the
-	// crest (elapsed ≈ Period/2) short. Compare empirical rates pinned at
-	// the two phases.
-	r := rand.New(rand.NewSource(9))
-	d := workload.Diurnal{Base: 50, Peak: 1000, Period: 10 * time.Second}
-	rateAt := func(phase time.Duration) float64 {
-		var sum time.Duration
-		const n = 20000
-		for i := 0; i < n; i++ {
-			sum += d.Gap(r, phase)
-		}
-		return n / sum.Seconds()
-	}
-	trough, crest := rateAt(0), rateAt(5*time.Second)
-	if crest < 5*trough {
-		t.Fatalf("crest rate %.0f not ≫ trough rate %.0f", crest, trough)
 	}
 }

@@ -1,7 +1,7 @@
-// Key-popularity distributions for the open-loop engine. The engine's
-// historical workload touches a single key; these samplers spread traffic
-// over a key universe — uniformly, or with the Zipf skew that concentrates
-// a hot-shard's worth of traffic onto a few keys.
+// Key popularity for the open-loop engine. The engine's default workload
+// touches a single key; a KeyDist spreads traffic over a key universe, here
+// with the Zipf skew that concentrates a hot shard's worth of traffic onto a
+// few keys.
 package workload
 
 import (
@@ -24,25 +24,6 @@ func keyTable(prefix string, n int) []string {
 		keys[i] = prefix + strconv.Itoa(i)
 	}
 	return keys
-}
-
-// UniformKeys samples uniformly from N keys named "<Prefix><i>".
-type UniformKeys struct {
-	N      int
-	Prefix string // default "k"
-
-	keys []string
-}
-
-// Key implements KeyDist.
-func (u *UniformKeys) Key(r *rand.Rand) string {
-	if u.keys == nil {
-		if u.Prefix == "" {
-			u.Prefix = "k"
-		}
-		u.keys = keyTable(u.Prefix, u.N)
-	}
-	return u.keys[r.Intn(len(u.keys))]
 }
 
 // ZipfKeys samples from N keys with Zipf(s, v) popularity: key 0 is the

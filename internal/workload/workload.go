@@ -1,10 +1,11 @@
-// Package workload provides request-arrival processes for driving client
-// gateways: the paper's closed-loop alternating workload, plus open-loop
-// Poisson and bursty processes. The staleness model (Equation 4) assumes
-// Poisson update arrivals; the paper notes "it should be possible to
-// evaluate P(Nu(tl) ≤ a) for the case in which the arrival of update
-// requests follows a distribution that is not Poisson" — the bursty process
-// stresses exactly that assumption.
+// Package workload drives a deployed service. Drivers run inside a client
+// gateway: periodic reads, and Poisson or bursty update streams. The
+// staleness model (Equation 4) assumes Poisson update arrivals; the paper
+// notes "it should be possible to evaluate P(Nu(tl) ≤ a) for the case in
+// which the arrival of update requests follows a distribution that is not
+// Poisson" — the bursty stream stresses exactly that assumption. The
+// open-loop Engine is one node that issues a whole client population's
+// Poisson request stream over one or more shards.
 package workload
 
 import (
