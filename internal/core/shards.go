@@ -37,8 +37,8 @@ type ShardedDeployment struct {
 //
 // perShard, if non-nil, runs on each shard's config copy before deployment —
 // the hook chaos runs use to install per-shard recorders. Clients are not
-// deployed here: sharded services front their traffic with a shard.Router
-// (or the workload engine), which routes per key.
+// deployed here: sharded services front their traffic with a shard.Router,
+// which routes per key.
 func DeployShards(rt Runtime, svc ServiceConfig, n int, perShard func(shard int, s *ServiceConfig)) (*ShardedDeployment, error) {
 	if n < 1 {
 		return nil, errors.New("core: DeployShards needs at least 1 shard")

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,10 +14,10 @@ import (
 	"aqua/internal/group"
 	"aqua/internal/netsim"
 	"aqua/internal/node"
+	"aqua/internal/qos"
 	"aqua/internal/replica"
 	"aqua/internal/sim"
 	"aqua/internal/wal"
-	"aqua/internal/workload"
 
 	"aqua/internal/app"
 	"aqua/internal/apps"
@@ -354,10 +356,12 @@ func TestRecoveryOracleCatchesDropTail(t *testing.T) {
 }
 
 // TestSeqKillOpenLoopZeroHoles is the replicated-ordering acceptance test:
-// under open-loop load with majority-floor GSN ordering armed, killing the
-// sequencer mid-run must leave no assignment holes — every replica's
-// applied stream stays gap-free through the takeover, judged by the
-// sequential-consistency oracle over the full trace.
+// under open-loop load from four client gateways with majority-floor GSN
+// ordering armed, killing the sequencer mid-run must leave no assignment
+// holes — every replica's applied stream stays gap-free through the
+// takeover, judged by the sequential-consistency oracle over the full
+// trace. Issuing stops at 3s; by 4s every invocation, those in flight at
+// the kill included, has been answered without error.
 func TestSeqKillOpenLoopZeroHoles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("open-loop chaos run in -short mode")
@@ -380,31 +384,47 @@ func TestSeqKillOpenLoopZeroHoles(t *testing.T) {
 		OnServeRead:      rec.ServeRead,
 		OnRestore:        rec.Restore,
 	}
-	d, err := core.Deploy(rt, svc, nil)
+	var tally callbackTally
+	var updatesDone int
+	var clients []core.ClientConfig
+	for i := 0; i < 4; i++ {
+		clients = append(clients, core.ClientConfig{
+			ID:      node.ID(fmt.Sprintf("c%02d", i)),
+			Spec:    qos.Spec{Deadline: 50 * time.Millisecond, MinProb: 0.5},
+			Methods: qos.NewMethods("Get"),
+			Driver: func(ctx node.Context, gw *client.Gateway) {
+				var seq uint64
+				poissonStream(ctx, 100, 3*time.Second, func() {
+					if ctx.Rand().Float64() < 0.5 {
+						gw.Invoke("Get", []byte("x"), tally.wrap(nil))
+						return
+					}
+					seq++
+					gw.Invoke("Set", []byte("x="+strconv.FormatUint(seq, 10)),
+						tally.wrap(func(client.Result) { updatesDone++ }))
+				})
+			},
+		})
+	}
+	d, err := core.Deploy(rt, svc, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := workload.NewEngine(workload.EngineConfig{
-		Shards:       []client.ServiceInfo{d.Info},
-		Arrivals:     workload.Poisson{Rate: 400},
-		ReadFraction: 0.5,
-		Deadline:     50 * time.Millisecond,
-	})
-	rt.Register("load", eng)
 	rt.Start()
 
 	// One second of steady load, then the kill; no restart — takeover
 	// alone must close the ordering pipeline's open window.
 	s.RunFor(time.Second)
-	preKill := eng.Metrics().UpdatesDone
+	preKill := updatesDone
 	rt.Crash(d.Sequencer)
 	rec.Crash(d.Sequencer)
 	s.RunFor(3 * time.Second)
 
-	if m := eng.Metrics(); m.UpdatesDone <= preKill {
+	if updatesDone <= preKill {
 		t.Fatalf("no updates committed after the sequencer kill (before=%d after=%d)",
-			preKill, m.UpdatesDone)
+			preKill, updatesDone)
 	}
+	tally.requireDrained(t)
 	rep := check.Run(rec.Events())
 	requireCleanReport(t, "seq-kill-open-loop", rep)
 	seq := rep.Verdicts[0]

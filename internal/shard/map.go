@@ -22,8 +22,7 @@ import (
 const ringEnd = uint64(1) << 32
 
 // Hash maps a key onto the ring: FNV-1a, 32-bit. Exported so every routing
-// layer (Router, the multi-shard workload engine, tests crafting boundary
-// keys) agrees on placement.
+// layer (Router, tests crafting boundary keys) agrees on placement.
 func Hash(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {

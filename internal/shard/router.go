@@ -48,7 +48,8 @@ type migration struct {
 	// zero; then the copy phase reads every known key in the range from the
 	// source and writes it through the destination.
 	draining bool
-	copies   int
+	// moving holds the keys the copy phase has still to copy, in order.
+	moving   []string
 	buffered []bufferedCall
 	onDone   func(*Map)
 }
@@ -252,7 +253,8 @@ func (r *Router) ReadAll(method string, payload []byte, cb func(shard int, res c
 //     holds a GSN in the source shard's order).
 //  3. Copy — read each known key in the interval from the source shard at
 //     staleness 0 (the committed frontier) and write it through the
-//     destination shard, giving it a GSN in the destination's order.
+//     destination shard, giving it a GSN in the destination's order, one
+//     key at a time. A failed read or write is reissued until it succeeds.
 //  4. Install — adopt the version-bumped map and release the buffered
 //     invocations to the new owner.
 //
@@ -298,42 +300,59 @@ func (r *Router) maybeDrained() {
 // deterministic simulation), each read from the source frontier and written
 // through the destination.
 func (r *Router) startCopy(mig *migration) {
-	var moving []string
 	for key := range r.keys {
 		if h := uint64(Hash(key)); h >= mig.lo && h < mig.hi {
-			moving = append(moving, key)
+			mig.moving = append(mig.moving, key)
 		}
 	}
-	sort.Strings(moving)
-	if len(moving) == 0 {
+	sort.Strings(mig.moving)
+	r.copyNext(mig)
+}
+
+// copyNext copies the next key, or installs once every key is copied. Keys
+// go one at a time: a copy invocation that MaxPending newer ones evicted
+// would be reissued and evict another in turn, so a range holding more
+// keys than MaxPending must never have them all in flight at once.
+func (r *Router) copyNext(mig *migration) {
+	if len(mig.moving) == 0 {
 		r.install(mig)
 		return
 	}
-	mig.copies = len(moving)
-	for _, key := range moving {
-		key := key
-		// Staleness 0: the source's committed frontier, i.e. every update
-		// that completed before the drain finished.
-		r.gws[mig.from].InvokeStale(r.cfg.ReadMethod, []byte(key), 0, func(res client.Result) {
-			if res.Err != "" || len(res.Payload) == 0 {
-				// Key unknown at the source (never written, or written and
-				// deleted); nothing to copy.
-				r.copyDone(mig)
-				return
-			}
-			val := append(append([]byte(key), '='), res.Payload...)
-			r.gws[mig.to].Invoke(r.cfg.UpdateMethod, val, func(client.Result) {
-				r.copyDone(mig)
-			})
-		})
-	}
+	key := mig.moving[0]
+	mig.moving = mig.moving[1:]
+	r.copyRead(mig, key)
 }
 
-func (r *Router) copyDone(mig *migration) {
-	mig.copies--
-	if mig.copies == 0 {
-		r.install(mig)
-	}
+// copyRead reads key from the source shard's committed frontier (staleness
+// 0: every update that completed before the drain finished) and hands the
+// value to copyWrite. A failed invocation says nothing about the key, so it
+// is read again: installing without it would lose an acknowledged write.
+// The migration therefore waits out a source shard that cannot answer.
+func (r *Router) copyRead(mig *migration, key string) {
+	r.gws[mig.from].InvokeStale(r.cfg.ReadMethod, []byte(key), 0, func(res client.Result) {
+		switch {
+		case res.Err != "":
+			r.copyRead(mig, key)
+		case len(res.Payload) == 0:
+			// Key unknown at the source (never written, or written and
+			// deleted); nothing to copy.
+			r.copyNext(mig)
+		default:
+			r.copyWrite(mig, append(append([]byte(key), '='), res.Payload...))
+		}
+	})
+}
+
+// copyWrite writes one copied key=value through the destination shard,
+// again until an invocation succeeds.
+func (r *Router) copyWrite(mig *migration, val []byte) {
+	r.gws[mig.to].Invoke(r.cfg.UpdateMethod, val, func(res client.Result) {
+		if res.Err != "" {
+			r.copyWrite(mig, val)
+			return
+		}
+		r.copyNext(mig)
+	})
 }
 
 // install adopts the post-move map and replays the buffered invocations

@@ -50,9 +50,9 @@ func (h *routerHarness) Init(ctx node.Context) {
 }
 func (h *routerHarness) Recv(from node.ID, m node.Message) { h.r.Recv(from, m) }
 
-// deployRouted stands up n shards plus a router under node ID "c00".
-func deployRouted(t *testing.T, seed int64, n int, m *shard.Map, staleness int,
-	drive func(ctx node.Context, r *shard.Router)) (*sim.Scheduler, *core.ShardedDeployment, *shard.Router) {
+// newRouted stands up n shards and a router (cfg, with Shards filled in)
+// for node ID "c00"; the caller registers the router and starts rt.
+func newRouted(t *testing.T, seed int64, n int, cfg shard.Config) (*sim.Scheduler, *sim.Runtime, *core.ShardedDeployment, *shard.Router) {
 	t.Helper()
 	s := sim.NewScheduler(seed)
 	rt := sim.NewRuntime(s, sim.WithDelay(netsim.UniformDelay{Min: 500 * time.Microsecond, Max: 2 * ms}))
@@ -62,7 +62,15 @@ func deployRouted(t *testing.T, seed int64, n int, m *shard.Map, staleness int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := shard.New(shard.Config{Shards: sd.Infos, Map: m, Client: clientTemplate(staleness)})
+	cfg.Shards = sd.Infos
+	return s, rt, sd, shard.New(cfg)
+}
+
+// deployRouted stands up n shards plus a router under node ID "c00".
+func deployRouted(t *testing.T, seed int64, n int, m *shard.Map, staleness int,
+	drive func(ctx node.Context, r *shard.Router)) (*sim.Scheduler, *core.ShardedDeployment, *shard.Router) {
+	t.Helper()
+	s, rt, sd, r := newRouted(t, seed, n, shard.Config{Map: m, Client: clientTemplate(staleness)})
 	rt.Register("c00", &routerHarness{r: r, drive: func(ctx node.Context) { drive(ctx, r) }})
 	rt.Start()
 	return s, sd, r
@@ -324,5 +332,100 @@ func TestRouterMoveReadYourWrites(t *testing.T) {
 	d1 := sd.Shards[1]
 	if got := d1.Replicas[d1.Sequencer].Applied(); got != 1 {
 		t.Fatalf("destination shard applied %d updates, want 1", got)
+	}
+}
+
+// TestRouterMoveRetriesFailedCopy crashes the source shard's serving
+// primaries after an acknowledged write, so the migration's first copy
+// reads fail unanswered. A failed read says nothing about the key: the
+// move must keep copying until it succeeds, and the post-move read must
+// still see the write.
+func TestRouterMoveRetriesFailedCopy(t *testing.T) {
+	half := shard.RingEnd / 2
+	key := keyInRange(t, 0, half)
+	pos := uint64(shard.Hash(key))
+
+	cfg := clientTemplate(0)
+	cfg.RetryInterval = 50 * ms
+	cfg.MaxRetries = 2
+	s, rt, sd, r := newRouted(t, 21, 2, shard.Config{Client: cfg})
+
+	var write, read client.Result
+	var installed bool
+	rt.Register("c00", &routerHarness{r: r, drive: func(ctx node.Context) {
+		ctx.SetTimer(10*ms, func() {
+			r.Invoke("Set", []byte(key+"=v"), func(res client.Result) {
+				write = res
+				for _, id := range sd.Shards[0].ServingPrimaries {
+					rt.Crash(id)
+				}
+				if err := r.Move(pos, pos+1, 1, func(*shard.Map) { installed = true }); err != nil {
+					t.Error(err)
+				}
+				r.Invoke("Get", []byte(key), func(res client.Result) { read = res })
+			})
+		})
+	}})
+	rt.Start()
+	s.RunFor(10 * time.Second)
+
+	if write.Err != "" {
+		t.Fatalf("pre-move write failed: %+v", write)
+	}
+	if !installed {
+		t.Fatal("move never installed")
+	}
+	if read.Err != "" || string(read.Payload) != "v" {
+		t.Fatalf("post-move read = %+v, want the acknowledged pre-move write", read)
+	}
+}
+
+// TestRouterMoveCopiesMoreKeysThanMaxPending moves a range holding more
+// keys than the router's gateways remember pending invocations. Issued all
+// at once, the copy reads would evict each other unanswered; every key must
+// still reach the new owner.
+func TestRouterMoveCopiesMoreKeysThanMaxPending(t *testing.T) {
+	half := shard.RingEnd / 2
+	var keys []string
+	for i := 0; len(keys) < 10; i++ {
+		if k := fmt.Sprintf("k%d", i); uint64(shard.Hash(k)) < half {
+			keys = append(keys, k)
+		}
+	}
+	cfg := clientTemplate(0)
+	cfg.MaxPending = 4
+	s, rt, _, r := newRouted(t, 23, 2, shard.Config{Client: cfg})
+
+	reads := map[string]client.Result{}
+	// Writes and reads go one at a time too, so only the copy can evict.
+	var readBack func(i int)
+	readBack = func(i int) {
+		if i < len(keys) {
+			r.Invoke("Get", []byte(keys[i]), func(res client.Result) {
+				reads[keys[i]] = res
+				readBack(i + 1)
+			})
+		}
+	}
+	var write func(i int)
+	write = func(i int) {
+		if i < len(keys) {
+			r.Invoke("Set", []byte(keys[i]+"=v"+keys[i]), func(client.Result) { write(i + 1) })
+			return
+		}
+		if err := r.Move(0, half, 1, func(*shard.Map) { readBack(0) }); err != nil {
+			t.Error(err)
+		}
+	}
+	rt.Register("c00", &routerHarness{r: r, drive: func(ctx node.Context) {
+		ctx.SetTimer(10*ms, func() { write(0) })
+	}})
+	rt.Start()
+	s.RunFor(20 * time.Second)
+
+	for _, k := range keys {
+		if res := reads[k]; res.Err != "" || string(res.Payload) != "v"+k {
+			t.Fatalf("post-move read of %s = %+v, want %q", k, res, "v"+k)
+		}
 	}
 }

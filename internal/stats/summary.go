@@ -97,57 +97,6 @@ func nearestRank(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// BucketQuantile estimates the q-th quantile (q in [0,1]) of a bucketed
-// histogram: bounds are ascending bucket upper bounds and counts holds
-// len(bounds)+1 entries, the last being the overflow bucket. The estimate
-// interpolates linearly within the bucket containing the target rank
-// (taking 0 as the first bucket's lower edge); ranks landing in the
-// overflow bucket clamp to the highest finite bound, so the estimate never
-// invents values beyond what the layout can resolve. An empty histogram or
-// empty bounds returns 0.
-func BucketQuantile(bounds []float64, counts []uint64, q float64) float64 {
-	if len(bounds) == 0 || len(counts) == 0 {
-		return 0
-	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if math.IsNaN(q) || q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		if i >= len(bounds) {
-			return bounds[len(bounds)-1] // overflow bucket: clamp
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		return lo + (bounds[i]-lo)*((rank-prev)/float64(c))
-	}
-	return bounds[len(bounds)-1]
-}
-
 // TruncNormalDuration draws from a normal distribution with the given mean
 // and standard deviation, truncated below at floor. The paper simulates
 // background server load exactly this way ("a delay that was normally

@@ -99,49 +99,6 @@ func TestPercentilesMatchesPercentile(t *testing.T) {
 	}
 }
 
-func TestBucketQuantile(t *testing.T) {
-	bounds := []float64{1, 2, 5, 10}
-	tests := []struct {
-		name   string
-		counts []uint64
-		q      float64
-		want   float64
-	}{
-		{"empty histogram", []uint64{0, 0, 0, 0, 0}, 0.5, 0},
-		{"all first bucket q1", []uint64{10, 0, 0, 0, 0}, 1, 1},
-		{"all first bucket median", []uint64{10, 0, 0, 0, 0}, 0.5, 0.5},
-		{"uniform median at second bound", []uint64{5, 5, 0, 0, 0}, 1, 2},
-		{"interpolates in bucket", []uint64{0, 10, 0, 0, 0}, 0.5, 1.5},
-		{"overflow clamps to top bound", []uint64{0, 0, 0, 0, 10}, 0.99, 10},
-		{"single sample any q", []uint64{0, 0, 1, 0, 0}, 0.25, 5},
-		{"NaN q clamps low", []uint64{4, 0, 0, 0, 0}, math.NaN(), 0.25},
-		{"q above one", []uint64{0, 0, 0, 4, 0}, 2, 10},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := BucketQuantile(bounds, tt.counts, tt.q); math.Abs(got-tt.want) > 1e-9 {
-				t.Fatalf("BucketQuantile(%v, %v) = %v, want %v", tt.counts, tt.q, got, tt.want)
-			}
-		})
-	}
-	if got := BucketQuantile(nil, []uint64{3}, 0.5); got != 0 {
-		t.Fatalf("no bounds = %v, want 0", got)
-	}
-}
-
-func TestBucketQuantileMonotone(t *testing.T) {
-	bounds := []float64{0.5, 1, 2, 4, 8, 16}
-	counts := []uint64{3, 9, 40, 20, 5, 2, 1}
-	prev := -1.0
-	for q := 0.0; q <= 1.0; q += 0.01 {
-		got := BucketQuantile(bounds, counts, q)
-		if got < prev {
-			t.Fatalf("quantile not monotone: q=%v got %v after %v", q, got, prev)
-		}
-		prev = got
-	}
-}
-
 func TestTruncNormalDuration(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var sum time.Duration

@@ -3,14 +3,13 @@
 // staleness model (Equation 4) assumes Poisson update arrivals; the paper
 // notes "it should be possible to evaluate P(Nu(tl) ≤ a) for the case in
 // which the arrival of update requests follows a distribution that is not
-// Poisson" — the bursty stream stresses exactly that assumption. The
-// open-loop Engine is one node that issues a whole client population's
-// Poisson request stream over one or more shards.
+// Poisson" — the bursty stream stresses exactly that assumption.
 package workload
 
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"aqua/internal/client"
@@ -24,7 +23,7 @@ type Driver func(ctx node.Context, gw *client.Gateway)
 // Writes generates n "Set" updates whose arrival instants are produced by
 // next (a stateful inter-arrival sampler); key namespaces the touched keys.
 // done, if non-nil, fires after the last update completes.
-func Writes(n int, key string, next func(r interface{ Float64() float64 }) time.Duration, done func()) Driver {
+func Writes(n int, key string, next func(r *rand.Rand) time.Duration, done func()) Driver {
 	return func(ctx node.Context, gw *client.Gateway) {
 		issued, completed := 0, 0
 		var schedule func()
@@ -52,13 +51,17 @@ func Writes(n int, key string, next func(r interface{ Float64() float64 }) time.
 // given rate (events per second): exponential inter-arrival times,
 // independent of completion.
 func PoissonWrites(n int, key string, rate float64, done func()) Driver {
-	return Writes(n, key, func(r interface{ Float64() float64 }) time.Duration {
-		u := r.Float64()
-		for u <= 0 {
-			u = r.Float64()
-		}
-		return time.Duration(-math.Log(u) / rate * float64(time.Second))
-	}, done)
+	return Writes(n, key, func(r *rand.Rand) time.Duration { return PoissonGap(r, rate) }, done)
+}
+
+// PoissonGap draws one exponential inter-arrival gap of a Poisson process
+// with the given rate (events per second).
+func PoissonGap(r *rand.Rand, rate float64) time.Duration {
+	u := r.Float64()
+	for u <= 0 {
+		u = r.Float64()
+	}
+	return time.Duration(-math.Log(u) / rate * float64(time.Second))
 }
 
 // BurstyWrites issues n updates in bursts: burstSize arrivals back-to-back
@@ -67,7 +70,7 @@ func PoissonWrites(n int, key string, rate float64, done func()) Driver {
 // model's worst case.
 func BurstyWrites(n int, key string, burstSize int, gap time.Duration, done func()) Driver {
 	i := 0
-	return Writes(n, key, func(interface{ Float64() float64 }) time.Duration {
+	return Writes(n, key, func(*rand.Rand) time.Duration {
 		pos := i % burstSize
 		i++
 		if pos == burstSize-1 {

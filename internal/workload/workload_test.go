@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -110,17 +109,10 @@ func TestPoissonInterArrivalDistribution(t *testing.T) {
 	// Sanity: the sampler's mean inter-arrival ≈ 1/rate.
 	rng := rand.New(rand.NewSource(9))
 	const rate = 4.0
-	sampler := func(r interface{ Float64() float64 }) time.Duration {
-		u := r.Float64()
-		for u <= 0 {
-			u = r.Float64()
-		}
-		return time.Duration(-math.Log(u) / rate * float64(time.Second))
-	}
 	var sum time.Duration
 	const n = 5000
 	for i := 0; i < n; i++ {
-		sum += sampler(rng)
+		sum += PoissonGap(rng, rate)
 	}
 	mean := (sum / n).Seconds()
 	if mean < 0.2 || mean > 0.3 {
